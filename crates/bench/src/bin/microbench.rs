@@ -3,20 +3,16 @@
 //! Times the building blocks the solvers spend their iterations in — 2-D
 //! FFT forward/inverse passes (dense and sparse-support), their real-input
 //! half-spectrum counterparts (`rfft_*`), the Hopkins forward/adjoint
-//! simulator passes (including the Hermitian path pinned explicitly), and
-//! a full pixel-ILT iteration — at the grid sizes of the configured
-//! experiment scale (`base_n` for the simulator benches, plus the full
-//! `clip` edge for the large FFTs).
+//! simulator passes, and a full pixel-ILT iteration — at the grid sizes of
+//! the configured experiment scale (`base_n` for the simulator benches,
+//! plus the full `clip` edge for the large FFTs).
 //!
-//! The full-iteration bench runs twice: once through the historical
-//! allocate-per-call API (`simulate`/`gradient`, serial, dense complex
-//! transforms) and once through the workspace fast path
-//! (`simulate_into`/`gradient_into` on the real-input path with the
-//! `ILT_INNER_THREADS` budget), and prints the speedup between them; the
-//! `microbench` report section carries that speedup (gated by
-//! `report_diff --min-iteration-speedup` in CI) together with the
-//! autotuned FFT plan parameters. A
-//! final three-way A/B re-runs the fast-path iteration with a span per
+//! The full-iteration bench runs the solvers' inner loop through the
+//! workspace API (`simulate_into`/`gradient_into` with the
+//! `ILT_INNER_THREADS` budget); the `microbench` report section carries
+//! its per-iteration cost (gated by `report_diff --min-iteration-speedup`
+//! in CI against the baseline's recorded reference cost) together with
+//! the autotuned FFT plan parameters. A final three-way A/B re-runs the fast-path iteration with a span per
 //! iteration: recorder off, recorder on, and recorder + full `ilt-prof`
 //! layer (CPU sampler plus allocation tracking). The summary carries
 //! `obs_overhead_ratio` (recorder vs off; CI asserts <= 2%) and
@@ -40,8 +36,7 @@ use std::fmt::Write as _;
 use ilt_bench::HarnessOptions;
 use ilt_fft::{spectral, Complex, Fft2d, Rfft2d};
 use ilt_grid::Grid;
-use ilt_litho::SpectralPath;
-use ilt_opt::{evaluate_loss, evaluate_loss_into, LossEval};
+use ilt_opt::{evaluate_loss_into, LossEval};
 use ilt_par::InnerPool;
 use ilt_telemetry as tele;
 
@@ -249,39 +244,6 @@ fn main() {
         system.gradient_into(&mut ws, &dldi).unwrap();
     });
 
-    // The Hermitian forward pass, pinned explicitly (so this point keeps
-    // measuring the half-spectrum path even if the default ever changes).
-    let mut hermitian_system = bank.system(base_n, 1).expect("system construction failed");
-    hermitian_system.set_spectral_path(SpectralPath::RealHermitian);
-    let mut hermitian_ws = hermitian_system.workspace();
-    bench(
-        &mut points,
-        format!("hermitian_simulate_{base_n}"),
-        sim_iters,
-        || {
-            hermitian_system
-                .simulate_into(&mask, &mut hermitian_ws)
-                .unwrap()
-        },
-    );
-
-    // Full solver iteration, pre-fast-path shape: allocate-per-call
-    // simulate/gradient on a serial pool with dense complex transforms
-    // (what the solvers did before the workspace arena, inner-thread
-    // budget, and real-input path existed).
-    let mut alloc_system = bank.system(base_n, 1).expect("system construction failed");
-    alloc_system.set_inner_pool(InnerPool::serial());
-    alloc_system.set_spectral_path(SpectralPath::Complex);
-    bench(
-        &mut points,
-        format!("ilt_iteration_alloc_{base_n}"),
-        iter_iters,
-        || {
-            let state = alloc_system.simulate(&mask).unwrap();
-            let eval = evaluate_loss(alloc_system.resist(), &state.intensity, &target);
-            let _ = alloc_system.gradient(&state, &eval.dldi).unwrap();
-        },
-    );
     // Full solver iteration, fast path: workspace arena + inner pool +
     // reused loss buffers, exactly the shape of the solvers' inner loops.
     let mut loss_eval = LossEval {
@@ -298,15 +260,6 @@ fn main() {
             evaluate_loss_into(system.resist(), ws.intensity(), &target, &mut loss_eval);
             let _ = system.gradient_into(&mut ws, &loss_eval.dldi).unwrap();
         },
-    );
-
-    let alloc = points[points.len() - 2].seconds;
-    let fast = points[points.len() - 1].seconds;
-    let speedup = alloc / fast;
-    println!(
-        "\niteration speedup (alloc-per-call vs workspace fast path, \
-         inner_threads={}): {speedup:.2}x",
-        opts.inner_threads
     );
 
     // Observability overhead, three ways: the same fast-path iteration
@@ -363,36 +316,27 @@ fn main() {
     let path = opts.artifact("microbench_summary.json");
     std::fs::write(
         &path,
-        render_summary(&opts, &points, speedup, obs_overhead, obs_profile_overhead),
+        render_summary(&opts, &points, obs_overhead, obs_profile_overhead),
     )
     .expect("cannot write summary");
     println!("wrote {}", path.display());
 
-    // The `microbench` report section carries the iteration timings and
-    // in-run speedup (gated by `report_diff --min-iteration-speedup` in CI
-    // against the baseline's recorded pre-fast-path reference cost) and
-    // the transpose/row-batch parameters the plan cache autotuned for this
+    // The `microbench` report section carries the iteration timing (gated
+    // by `report_diff --min-iteration-speedup` in CI against the
+    // baseline's recorded pre-fast-path reference cost) and the
+    // transpose/row-batch parameters the plan cache autotuned for this
     // machine.
-    let alloc_us = points[points.len() - 2].us_per_iter();
     let fast_us = points[points.len() - 1].us_per_iter();
-    ilt_bench::set_report_section(
-        "microbench",
-        render_microbench_section(speedup, alloc_us, fast_us),
-    );
+    ilt_bench::set_report_section("microbench", render_microbench_section(fast_us));
     opts.finish_run("microbench");
 }
 
-/// Renders the `microbench` report section: the per-iteration timings of
-/// the alloc and fast arms, the in-run speedup between them, plus every
-/// (size, threads) -> (block, row_batch) choice the FFT plan cache
-/// autotuned during the run.
-fn render_microbench_section(speedup: f64, alloc_us: f64, fast_us: f64) -> String {
+/// Renders the `microbench` report section: the per-iteration time of the
+/// full solver iteration, plus every (size, threads) -> (block, row_batch)
+/// choice the FFT plan cache autotuned during the run.
+fn render_microbench_section(fast_us: f64) -> String {
     use tele::json;
-    let mut out = String::from("{\"iteration_speedup\":");
-    json::push_f64(&mut out, speedup);
-    out.push_str(",\"iteration_alloc_us\":");
-    json::push_f64(&mut out, alloc_us);
-    out.push_str(",\"iteration_fast_us\":");
+    let mut out = String::from("{\"iteration_fast_us\":");
     json::push_f64(&mut out, fast_us);
     out.push_str(",\"autotune\":[");
     for (i, (n, threads, params)) in ilt_fft::tuned_summary().iter().enumerate() {
@@ -413,7 +357,6 @@ fn render_microbench_section(speedup: f64, alloc_us: f64, fast_us: f64) -> Strin
 fn render_summary(
     opts: &HarnessOptions,
     points: &[BenchPoint],
-    speedup: f64,
     obs_overhead: f64,
     obs_profile_overhead: f64,
 ) -> String {
@@ -422,8 +365,6 @@ fn render_summary(
     out.push_str(",\"scale\":");
     json::push_str_literal(&mut out, &opts.scale);
     let _ = write!(out, ",\"inner_threads\":{}", opts.inner_threads);
-    out.push_str(",\"iteration_speedup\":");
-    json::push_f64(&mut out, speedup);
     out.push_str(",\"obs_overhead_ratio\":");
     json::push_f64(&mut out, obs_overhead);
     out.push_str(",\"obs_profile_overhead_ratio\":");

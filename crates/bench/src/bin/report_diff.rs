@@ -25,10 +25,10 @@
 //! * `--max-rss-ratio F` — fail when the candidate's `memory.peak_rss_bytes`
 //!   exceeds `baseline * F` (default 1.10); skipped when either report
 //!   lacks the memory section;
-//! * `--min-iteration-speedup F` — fail when the candidate's
-//!   `microbench.iteration_speedup` is below `F` (absolute, not relative
-//!   to the baseline; a candidate without the section fails). Off by
-//!   default;
+//! * `--min-iteration-speedup F` — fail when the baseline's
+//!   `microbench.reference_iteration_us` divided by the candidate's
+//!   `microbench.iteration_fast_us` is below `F` (a pair of reports
+//!   missing either field fails). Off by default;
 //! * `--ignore-latency` — skip the latency comparison entirely (useful
 //!   across machines of different speed).
 

@@ -4,7 +4,7 @@
 //! `I = sum_i w_i |IFFT(H_i . FFT(M))|^2`, where each `H_i` occupies only a
 //! small centered support of the spectrum, so the per-kernel product touches
 //! `P^2` bins while the transforms dominate the cost. The adjoint
-//! (`gradient`) backpropagates a loss derivative `dL/dI` to the mask:
+//! ([`LithoSimulator::gradient_into`]) backpropagates a loss derivative `dL/dI` to the mask:
 //! `dL/dM = 2 Re IFFT( sum_i w_i conj(H_i) . FFT((dL/dI) . A_i) )`.
 //!
 //! # Hot-path engineering
@@ -13,16 +13,19 @@
 //! is built to run allocation-free at steady state and to parallelise
 //! deterministically:
 //!
+//! * Masks and loss derivatives are real, so their spectra are conjugate
+//!   symmetric. The mask forward, the per-kernel gradient forwards and the
+//!   final adjoint inverse therefore run as real-input transforms on
+//!   Hermitian half-spectra ([`Rfft2d`]), roughly halving their work; the
+//!   crop-multiply reads the missing half through the symmetry.
 //! * [`SimWorkspace`] is a scratch arena holding every buffer the two
-//!   passes need (mask spectrum, per-kernel fields, per-kernel adjoint
+//!   passes need (mask half-spectrum, per-kernel fields, per-kernel adjoint
 //!   partials, per-worker scratch, the adjoint accumulator, and the output
 //!   grids). [`LithoSimulator::simulate_into`] /
 //!   [`LithoSimulator::gradient_into`] reuse it across iterations without
-//!   touching the heap; the original [`LithoSimulator::simulate`] /
-//!   [`LithoSimulator::gradient`] survive as thin allocate-per-call
-//!   wrappers.
-//! * Per-kernel work (the `K` inverse transforms of `simulate`, the `K`
-//!   forward transforms of `gradient`) is spread across an
+//!   touching the heap.
+//! * Per-kernel work (the `K` inverse transforms of the forward pass, the
+//!   `K` forward transforms of the adjoint) is spread across an
 //!   [`ilt_par::InnerPool`]. Each kernel writes its own buffer and all
 //!   cross-kernel reductions happen serially in kernel order afterwards, so
 //!   results are **bit-identical** for any thread count.
@@ -37,36 +40,12 @@ use ilt_par::InnerPool;
 use crate::error::LithoError;
 use crate::kernels::KernelSet;
 
-/// Which spectral representation the simulate/gradient pair runs on.
-///
-/// Masks and loss derivatives are real, so their spectra are conjugate
-/// symmetric; [`SpectralPath::RealHermitian`] (the default) exploits that
-/// with real-input transforms and half-spectrum storage, roughly halving
-/// the transform work of the mask forward, the per-kernel gradient
-/// forwards, and the final adjoint inverse. [`SpectralPath::Complex`] keeps
-/// the dense complex pipeline — useful as a reference, and as the
-/// historical-cost baseline in the microbenchmarks.
-///
-/// Both paths satisfy the same guarantees (allocation-free steady state,
-/// serial-vs-parallel bit-identity); their outputs agree to floating-point
-/// tolerance, not bit for bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpectralPath {
-    /// Dense complex transforms end to end (the historical path).
-    Complex,
-    /// Real-input transforms and Hermitian half-spectrum storage.
-    #[default]
-    RealHermitian,
-}
-
 /// A reusable aerial-image simulator for square `n x n` masks.
 #[derive(Debug)]
 pub struct LithoSimulator {
     n: usize,
     fft: Fft2d,
-    /// Real-input 2-D plan for the Hermitian path (`None` only for grids
-    /// too small to pack, which fall back to the complex path).
-    rfft: Option<Rfft2d>,
+    rfft: Rfft2d,
     kernels: KernelSet,
     /// `bin[i]` is the unshifted spectrum index of centered support row or
     /// column `i`.
@@ -74,20 +53,9 @@ pub struct LithoSimulator {
     /// Stored half-spectrum columns (`0..=n/2`) the Hermitianised adjoint
     /// accumulator can touch: the support columns and their reflections.
     rbin_cols: Vec<usize>,
-    /// Which spectral representation to run on.
-    path: SpectralPath,
     /// Worker pool for per-kernel and per-row-batch parallelism. Serial by
     /// default; see [`LithoSimulator::with_inner_pool`].
     pool: InnerPool,
-}
-
-/// Everything the forward pass produced, retained for the adjoint pass.
-#[derive(Debug, Clone)]
-pub struct SimulationState {
-    /// Per-kernel complex fields `A_i = h_i (x) M`, each `n^2` long.
-    pub fields: Vec<Vec<Complex>>,
-    /// The aerial image `I`.
-    pub intensity: RealGrid,
 }
 
 /// Reusable scratch arena for [`LithoSimulator::simulate_into`] and
@@ -102,15 +70,11 @@ pub struct SimulationState {
 #[derive(Debug)]
 pub struct SimWorkspace {
     n: usize,
-    /// Mask spectrum `FFT(M)`, `n^2` (complex path only; empty otherwise).
-    spectrum: Vec<Complex>,
-    /// Mask half-spectrum in transposed `(n/2+1) x n` layout (Hermitian
-    /// path only; empty otherwise).
+    /// Mask half-spectrum in transposed `(n/2+1) x n` layout.
     half_spectrum: Vec<Complex>,
-    /// Real-transform scratch, `(n/2+1) * n` (Hermitian path only).
+    /// Real-transform scratch, `(n/2+1) * n`.
     rscratch: Vec<Complex>,
-    /// Hermitianised adjoint half-spectrum accumulator, `(n/2+1) * n`
-    /// (Hermitian path only).
+    /// Hermitianised adjoint half-spectrum accumulator, `(n/2+1) * n`.
     raccum: Vec<Complex>,
     /// Per-kernel fields `A_i`, each `n^2`.
     fields: Vec<Vec<Complex>>,
@@ -119,8 +83,6 @@ pub struct SimWorkspace {
     /// Per-worker dense scratch for the adjoint forward transforms, each
     /// `n^2`.
     scratch: Vec<Vec<Complex>>,
-    /// Adjoint spectral accumulator, `n^2` (complex path only).
-    accum: Vec<Complex>,
     /// The aerial image written by the forward pass.
     intensity: RealGrid,
     /// The mask gradient written by the adjoint pass.
@@ -128,13 +90,11 @@ pub struct SimWorkspace {
 }
 
 impl SimWorkspace {
-    fn new(n: usize, kernel_count: usize, support: usize, workers: usize, real: bool) -> Self {
+    fn new(n: usize, kernel_count: usize, support: usize, workers: usize) -> Self {
         let cells = n * n;
-        let half_len = if real { (n / 2 + 1) * n } else { 0 };
-        let dense_len = if real { 0 } else { cells };
+        let half_len = (n / 2 + 1) * n;
         SimWorkspace {
             n,
-            spectrum: vec![Complex::ZERO; dense_len],
             half_spectrum: vec![Complex::ZERO; half_len],
             rscratch: vec![Complex::ZERO; half_len],
             raccum: vec![Complex::ZERO; half_len],
@@ -147,7 +107,6 @@ impl SimWorkspace {
             scratch: (0..workers.max(1))
                 .map(|_| vec![Complex::ZERO; cells])
                 .collect(),
-            accum: vec![Complex::ZERO; dense_len],
             intensity: Grid::new(n, n, 0.0),
             grad: Grid::new(n, n, 0.0),
         }
@@ -180,32 +139,14 @@ impl SimWorkspace {
         &self.grad
     }
 
-    /// Consumes the workspace, moving the forward-pass results out as a
-    /// [`SimulationState`] (no copies).
-    pub fn into_state(self) -> SimulationState {
-        SimulationState {
-            fields: self.fields,
-            intensity: self.intensity,
-        }
-    }
-
     /// Resizes any buffer that does not match the requested shape.
     /// Steady-state calls compare a handful of lengths and touch nothing.
-    fn ensure(
-        &mut self,
-        n: usize,
-        kernel_count: usize,
-        support: usize,
-        workers: usize,
-        real: bool,
-    ) {
+    fn ensure(&mut self, n: usize, kernel_count: usize, support: usize, workers: usize) {
         let cells = n * n;
         let p2 = support * support;
         let workers = workers.max(1);
-        let half_len = if real { (n / 2 + 1) * n } else { 0 };
-        let dense_len = if real { 0 } else { cells };
+        let half_len = (n / 2 + 1) * n;
         let shape_ok = self.n == n
-            && self.spectrum.len() == dense_len
             && self.half_spectrum.len() == half_len
             && self.rscratch.len() == half_len
             && self.raccum.len() == half_len
@@ -215,14 +156,13 @@ impl SimWorkspace {
             && self.partials.iter().all(|p| p.len() == p2)
             && self.scratch.len() >= workers
             && self.scratch.iter().all(|s| s.len() == cells)
-            && self.accum.len() == dense_len
             && self.intensity.width() == n
             && self.intensity.height() == n
             && self.grad.width() == n
             && self.grad.height() == n;
         if !shape_ok {
             ilt_telemetry::counter_add("litho.workspace.realloc", 1);
-            *self = SimWorkspace::new(n, kernel_count, support, workers, real);
+            *self = SimWorkspace::new(n, kernel_count, support, workers);
         }
     }
 }
@@ -238,7 +178,7 @@ impl LithoSimulator {
     /// # Errors
     ///
     /// * [`LithoError::GridMismatch`] if the kernel support exceeds `n`;
-    /// * [`LithoError::Fft`] if `n` is not a power of two.
+    /// * [`LithoError::Fft`] if `n` is not a power of two of at least 2.
     pub fn new(n: usize, kernels: KernelSet) -> Result<Self, LithoError> {
         if kernels.support() > n {
             return Err(LithoError::GridMismatch {
@@ -247,7 +187,7 @@ impl LithoSimulator {
             });
         }
         let fft = Fft2d::new(n, n)?;
-        let rfft = Rfft2d::new(n).ok();
+        let rfft = Rfft2d::new(n)?;
         let p = kernels.support();
         let half = p as i64 / 2;
         let bin: Vec<usize> = (0..p)
@@ -274,7 +214,6 @@ impl LithoSimulator {
             kernels,
             bin,
             rbin_cols,
-            path: SpectralPath::default(),
             pool: InnerPool::current(),
         })
     }
@@ -284,32 +223,6 @@ impl LithoSimulator {
     pub fn with_inner_pool(mut self, pool: InnerPool) -> Self {
         self.pool = pool;
         self
-    }
-
-    /// Returns `self` running on the given spectral path (builder style).
-    #[must_use]
-    pub fn with_spectral_path(mut self, path: SpectralPath) -> Self {
-        self.path = path;
-        self
-    }
-
-    /// Replaces the spectral path used by simulate/gradient.
-    pub fn set_spectral_path(&mut self, path: SpectralPath) {
-        self.path = path;
-    }
-
-    /// The spectral path currently configured.
-    #[inline]
-    pub fn spectral_path(&self) -> SpectralPath {
-        self.path
-    }
-
-    /// Whether this simulator will actually run the Hermitian path (the
-    /// configured path, downgraded to complex if no real plan exists for
-    /// this grid size).
-    #[inline]
-    fn real_path(&self) -> bool {
-        self.path == SpectralPath::RealHermitian && self.rfft.is_some()
     }
 
     /// Replaces the inner pool used for per-kernel parallelism.
@@ -342,23 +255,7 @@ impl LithoSimulator {
             self.kernels.len(),
             self.kernels.support(),
             self.pool.threads(),
-            self.real_path(),
         )
-    }
-
-    /// Runs the forward model, returning the aerial image together with the
-    /// per-kernel fields needed by [`LithoSimulator::gradient`].
-    ///
-    /// Allocates a fresh workspace per call; inner solver loops should use
-    /// [`LithoSimulator::simulate_into`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LithoError::MaskShape`] if the mask is not `n x n`.
-    pub fn simulate(&self, mask: &RealGrid) -> Result<SimulationState, LithoError> {
-        let mut ws = self.workspace();
-        self.simulate_into(mask, &mut ws)?;
-        Ok(ws.into_state())
     }
 
     /// Runs the forward model into a reusable workspace: the aerial image
@@ -374,70 +271,45 @@ impl LithoSimulator {
         self.check_shape(mask)?;
         let n = self.n;
         let p = self.kernels.support();
-        let real = self.real_path();
-        ws.ensure(n, self.kernels.len(), p, self.pool.threads(), real);
+        ws.ensure(n, self.kernels.len(), p, self.pool.threads());
 
+        // The mask is real: a half-length rfft produces the stored half of
+        // its conjugate-symmetric spectrum; the crop-multiply reads the
+        // missing half through the symmetry.
+        self.rfft.forward(
+            mask.as_slice(),
+            &mut ws.half_spectrum,
+            &mut ws.rscratch,
+            &self.pool,
+        )?;
         let kernels = self.kernels.iter().as_slice();
         let bin = &self.bin;
         let fft = &self.fft;
-        if real {
-            // The mask is real: a half-length rfft produces the stored half
-            // of its conjugate-symmetric spectrum; the crop-multiply reads
-            // the missing half through the symmetry.
-            let rfft = self.rfft.as_ref().expect("real path implies a plan");
-            rfft.forward(
-                mask.as_slice(),
-                &mut ws.half_spectrum,
-                &mut ws.rscratch,
-                &self.pool,
-            )?;
-            let hw = n / 2 + 1;
-            let half = &ws.half_spectrum;
-            self.pool.for_each_mut(&mut ws.fields, |k, field| {
-                let h = kernels[k].spectrum();
-                field.fill(Complex::ZERO);
-                for r in 0..p {
-                    let rr = bin[r];
-                    let row = rr * n;
-                    for c in 0..p {
-                        let cc = bin[c];
-                        // Hermitian lookup: stored columns are transposed
-                        // (column-contiguous), mirrored columns conjugate.
-                        let m = if cc < hw {
-                            half[cc * n + rr]
-                        } else {
-                            half[(n - cc) * n + (n - rr) % n].conj()
-                        };
-                        field[row + cc] = m * h[r * p + c];
-                    }
+        let hw = n / 2 + 1;
+        let half = &ws.half_spectrum;
+        // Per-kernel crop-multiply + sparse inverse, one kernel per buffer:
+        // disjoint writes, so the pool changes nothing about the result.
+        self.pool.for_each_mut(&mut ws.fields, |k, field| {
+            let h = kernels[k].spectrum();
+            field.fill(Complex::ZERO);
+            for r in 0..p {
+                let rr = bin[r];
+                let row = rr * n;
+                for c in 0..p {
+                    let cc = bin[c];
+                    // Hermitian lookup: stored columns are transposed
+                    // (column-contiguous), mirrored columns conjugate.
+                    let m = if cc < hw {
+                        half[cc * n + rr]
+                    } else {
+                        half[(n - cc) * n + (n - rr) % n].conj()
+                    };
+                    field[row + cc] = m * h[r * p + c];
                 }
-                fft.inverse_support(field, bin)
-                    .expect("field buffer matches plan by construction");
-            });
-        } else {
-            for (dst, &v) in ws.spectrum.iter_mut().zip(mask.as_slice()) {
-                *dst = Complex::from_re(v);
             }
-            self.fft.forward_with_pool(&mut ws.spectrum, &self.pool)?;
-
-            // Per-kernel crop-multiply + sparse inverse, one kernel per
-            // buffer: disjoint writes, so the pool changes nothing about
-            // the result.
-            let spectrum = &ws.spectrum;
-            self.pool.for_each_mut(&mut ws.fields, |k, field| {
-                let h = kernels[k].spectrum();
-                field.fill(Complex::ZERO);
-                for r in 0..p {
-                    let row = bin[r] * n;
-                    for c in 0..p {
-                        let idx = row + bin[c];
-                        field[idx] = spectrum[idx] * h[r * p + c];
-                    }
-                }
-                fft.inverse_support(field, bin)
-                    .expect("field buffer matches plan by construction");
-            });
-        }
+            fft.inverse_support(field, bin)
+                .expect("field buffer matches plan by construction");
+        });
 
         // Intensity reduction stays serial and in kernel order so the sum
         // is bit-identical regardless of the pool.
@@ -451,37 +323,17 @@ impl LithoSimulator {
         Ok(())
     }
 
-    /// Convenience wrapper returning only the aerial image.
+    /// Convenience wrapper returning only the aerial image (allocates a
+    /// workspace per call; solver loops use
+    /// [`LithoSimulator::simulate_into`]).
     ///
     /// # Errors
     ///
-    /// Same as [`LithoSimulator::simulate`].
+    /// Same as [`LithoSimulator::simulate_into`].
     pub fn aerial_image(&self, mask: &RealGrid) -> Result<RealGrid, LithoError> {
-        Ok(self.simulate(mask)?.intensity)
-    }
-
-    /// Backpropagates `dL/dI` through the forward model, returning `dL/dM`.
-    ///
-    /// Allocates per call; inner solver loops should use
-    /// [`LithoSimulator::gradient_into`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LithoError::MaskShape`] if `dldi` is not `n x n`, or a
-    /// state/shape inconsistency is detected.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` was produced by a different simulator (field
-    /// lengths disagree).
-    pub fn gradient(
-        &self,
-        state: &SimulationState,
-        dldi: &RealGrid,
-    ) -> Result<RealGrid, LithoError> {
         let mut ws = self.workspace();
-        self.gradient_core(&state.fields, dldi, &mut ws)?;
-        Ok(ws.grad)
+        self.simulate_into(mask, &mut ws)?;
+        Ok(ws.intensity)
     }
 
     /// Backpropagates `dL/dI` using the fields left in the workspace by the
@@ -497,52 +349,19 @@ impl LithoSimulator {
         ws: &'w mut SimWorkspace,
         dldi: &RealGrid,
     ) -> Result<&'w RealGrid, LithoError> {
-        // Shape-check before splitting the fields out: `ensure` must see the
-        // complete workspace, and the core borrows the fields immutably
-        // while writing the other buffers.
-        ws.ensure(
-            self.n,
-            self.kernels.len(),
-            self.kernels.support(),
-            self.pool.threads(),
-            self.real_path(),
-        );
-        let fields = std::mem::take(&mut ws.fields);
-        let result = self.gradient_core(&fields, dldi, ws);
-        ws.fields = fields;
-        result?;
-        Ok(&ws.grad)
-    }
-
-    /// The shared adjoint implementation. `fields` are the forward-pass
-    /// fields (from a [`SimulationState`] or a workspace); every scratch
-    /// buffer comes from `ws`.
-    fn gradient_core(
-        &self,
-        fields: &[Vec<Complex>],
-        dldi: &RealGrid,
-        ws: &mut SimWorkspace,
-    ) -> Result<(), LithoError> {
         ilt_telemetry::counter_add("litho.gradient", 1);
         self.check_shape(dldi)?;
         let n = self.n;
         let p = self.kernels.support();
-        assert_eq!(
-            fields.len(),
-            self.kernels.len(),
-            "state does not match this simulator's kernel count"
-        );
-        for field in fields {
-            assert_eq!(field.len(), n * n, "field length mismatch");
-        }
+        ws.ensure(n, self.kernels.len(), p, self.pool.threads());
 
         // Per-kernel: scratch = A_i . dL/dI, forward transform, then record
         // the weighted conjugate-kernel product on the P x P support only.
         // Each kernel owns its partial buffer; workers never share scratch.
-        let real = self.real_path();
         let kernels = self.kernels.iter().as_slice();
         let bin = &self.bin;
         let fft = &self.fft;
+        let fields = &ws.fields;
         let dldi_slice = dldi.as_slice();
         self.pool.for_each_with_scratch(
             &mut ws.partials,
@@ -552,90 +371,55 @@ impl LithoSimulator {
                     *dst = a.scale(g);
                 }
                 let adj = kernels[k].adjoint_spectrum();
-                if real {
-                    // Only the P support columns of the spectrum are read
-                    // below, so the forward can skip the other column
-                    // transforms. The result is transposed; the pool slot is
-                    // already a worker, so the column pass stays serial.
-                    fft.forward_support_transposed(scratch, bin, &InnerPool::serial())
-                        .expect("scratch buffer matches plan by construction");
-                    for r in 0..p {
-                        for c in 0..p {
-                            let idx = bin[c] * n + bin[r];
-                            partial[r * p + c] = scratch[idx] * adj[r * p + c];
-                        }
-                    }
-                } else {
-                    fft.forward(scratch)
-                        .expect("scratch buffer matches plan by construction");
-                    for r in 0..p {
-                        let row = bin[r] * n;
-                        for c in 0..p {
-                            let idx = row + bin[c];
-                            partial[r * p + c] = scratch[idx] * adj[r * p + c];
-                        }
+                // Only the P support columns of the spectrum are read
+                // below, so the forward can skip the other column
+                // transforms. The result is transposed; the pool slot is
+                // already a worker, so the column pass stays serial.
+                fft.forward_support_transposed(scratch, bin, &InnerPool::serial())
+                    .expect("scratch buffer matches plan by construction");
+                for r in 0..p {
+                    for c in 0..p {
+                        let idx = bin[c] * n + bin[r];
+                        partial[r * p + c] = scratch[idx] * adj[r * p + c];
                     }
                 }
             },
         );
 
-        if real {
-            // Fixed-order Hermitianised reduction: accumulate S + R(S) where
-            // R(S)(r,c) = conj(S((n-r)%n, (n-c)%n)), so the inverse rfft of
-            // the half-spectrum yields 2.Re(IFFT(S)) = dL/dM directly (the
-            // trailing x2 of the complex path is absorbed here).
-            let hw = n / 2 + 1;
-            ws.raccum.fill(Complex::ZERO);
-            for partial in &ws.partials {
-                for r in 0..p {
-                    let rr = bin[r];
-                    let r2 = (n - rr) % n;
-                    for c in 0..p {
-                        let cc = bin[c];
-                        let v = partial[r * p + c];
-                        if cc < hw {
-                            ws.raccum[cc * n + rr] += v;
-                        }
-                        let c2 = (n - cc) % n;
-                        if c2 < hw {
-                            ws.raccum[c2 * n + r2] += v.conj();
-                        }
+        // Fixed-order Hermitianised reduction: accumulate S + R(S) where
+        // R(S)(r,c) = conj(S((n-r)%n, (n-c)%n)), so the inverse rfft of the
+        // half-spectrum yields 2.Re(IFFT(S)) = dL/dM directly (the trailing
+        // x2 of the adjoint is absorbed here).
+        let hw = n / 2 + 1;
+        ws.raccum.fill(Complex::ZERO);
+        for partial in &ws.partials {
+            for r in 0..p {
+                let rr = bin[r];
+                let r2 = (n - rr) % n;
+                for c in 0..p {
+                    let cc = bin[c];
+                    let v = partial[r * p + c];
+                    if cc < hw {
+                        ws.raccum[cc * n + rr] += v;
+                    }
+                    let c2 = (n - cc) % n;
+                    if c2 < hw {
+                        ws.raccum[c2 * n + r2] += v.conj();
                     }
                 }
-            }
-            // Only the support columns (and their reflections) are nonzero,
-            // so the inverse skips the rest of the first-pass transforms.
-            let rfft = self.rfft.as_ref().expect("real path implies a plan");
-            rfft.inverse_support_scaled(
-                &mut ws.raccum,
-                ws.grad.as_mut_slice(),
-                &mut ws.rscratch,
-                Some(&self.rbin_cols),
-                1.0,
-                &self.pool,
-            )?;
-        } else {
-            // Fixed-order reduction over the P x P support keeps the sum
-            // bit-identical for any pool size.
-            ws.accum.fill(Complex::ZERO);
-            for partial in &ws.partials {
-                for r in 0..p {
-                    let row = bin[r] * n;
-                    for c in 0..p {
-                        let idx = row + bin[c];
-                        ws.accum[idx] += partial[r * p + c];
-                    }
-                }
-            }
-            // The accumulator is zero outside the support rows, so the
-            // inverse can skip the remaining first-pass transforms.
-            self.fft
-                .inverse_support_with_pool(&mut ws.accum, bin, &self.pool)?;
-            for (dst, z) in ws.grad.as_mut_slice().iter_mut().zip(&ws.accum) {
-                *dst = 2.0 * z.re;
             }
         }
-        Ok(())
+        // Only the support columns (and their reflections) are nonzero, so
+        // the inverse skips the rest of the first-pass transforms.
+        self.rfft.inverse_support_scaled(
+            &mut ws.raccum,
+            ws.grad.as_mut_slice(),
+            &mut ws.rscratch,
+            Some(&self.rbin_cols),
+            1.0,
+            &self.pool,
+        )?;
+        Ok(&ws.grad)
     }
 
     fn check_shape(&self, grid: &RealGrid) -> Result<(), LithoError> {
@@ -763,14 +547,70 @@ mod tests {
         let n = sim.n();
         let mut mask = Grid::new(n, n, 0.0);
         mask.fill_rect(Rect::new(16, 16, 48, 32), 1.0);
-        let state = sim.simulate(&mask).unwrap();
+        let mut ws = sim.workspace();
+        sim.simulate_into(&mask, &mut ws).unwrap();
         let recomputed: f64 = sim
             .kernels()
             .iter()
-            .zip(&state.fields)
+            .zip(ws.fields())
             .map(|(k, f)| k.weight() * f[33 * n + 20].norm_sqr())
             .sum();
-        assert!((recomputed - state.intensity.get(20, 33)).abs() < 1e-12);
+        assert!((recomputed - ws.intensity().get(20, 33)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn intensity_matches_direct_summation() {
+        // Oracle: I = sum_k w_k |IDFT(crop_P(DFT(M)) . H_k)|^2 evaluated by
+        // direct summation over the P x P support, with no FFT involved.
+        let sim = simulator();
+        let n = sim.n();
+        let p = sim.kernels().support();
+        let mask = wavy_mask(n);
+        let bins: Vec<usize> = (0..p)
+            .map(|i| spectral::wrap_index(i as i64 - p as i64 / 2, n))
+            .collect();
+        // twiddle[j] = exp(+2 pi i j / n); products are reduced mod n first.
+        let twiddle: Vec<Complex> = (0..n)
+            .map(|j| Complex::from_polar(1.0, 2.0 * std::f64::consts::PI * j as f64 / n as f64))
+            .collect();
+        // Mask spectrum on the support: S(ky, kx) = sum M(x, y) e^{-i...}.
+        let mut spectrum = vec![Complex::ZERO; p * p];
+        for (r, &ky) in bins.iter().enumerate() {
+            for (c, &kx) in bins.iter().enumerate() {
+                let mut acc = Complex::ZERO;
+                for y in 0..n {
+                    for x in 0..n {
+                        let t = twiddle[(ky * y + kx * x) % n].conj();
+                        acc += t.scale(mask.get(x, y));
+                    }
+                }
+                spectrum[r * p + c] = acc;
+            }
+        }
+        let mut ws = sim.workspace();
+        sim.simulate_into(&mask, &mut ws).unwrap();
+        let norm = 1.0 / (n * n) as f64;
+        for y in 0..n {
+            for x in 0..n {
+                let mut expected = 0.0;
+                for kernel in sim.kernels().iter() {
+                    let h = kernel.spectrum();
+                    let mut field = Complex::ZERO;
+                    for (r, &ky) in bins.iter().enumerate() {
+                        for (c, &kx) in bins.iter().enumerate() {
+                            let t = twiddle[(ky * y + kx * x) % n];
+                            field += spectrum[r * p + c] * h[r * p + c] * t;
+                        }
+                    }
+                    expected += kernel.weight() * field.scale(norm).norm_sqr();
+                }
+                let got = ws.intensity().get(x, y);
+                assert!(
+                    (got - expected).abs() < 1e-10,
+                    "({x},{y}): {got} vs {expected}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -780,12 +620,13 @@ mod tests {
         let mut mask = wavy_mask(n);
         // Loss: L = sum I (so dL/dI = 1 everywhere).
         let dldi = Grid::new(n, n, 1.0);
-        let state = sim.simulate(&mask).unwrap();
-        let grad = sim.gradient(&state, &dldi).unwrap();
+        let mut ws = sim.workspace();
+        sim.simulate_into(&mask, &mut ws).unwrap();
+        let base: f64 = ws.intensity().sum();
+        let grad = sim.gradient_into(&mut ws, &dldi).unwrap();
 
         let eps = 1e-5;
         for &(px, py) in &[(10usize, 10usize), (30, 17), (5, 40)] {
-            let base: f64 = state.intensity.sum();
             let original = mask.get(px, py);
             mask.set(px, py, original + eps);
             let bumped: f64 = sim.aerial_image(&mask).unwrap().sum();
@@ -806,8 +647,6 @@ mod tests {
         let n = sim.n();
         let mut mask = Grid::from_fn(n, n, |x, y| ((x + y) % 3) as f64 * 0.4);
         let dldi = Grid::from_fn(n, n, |x, y| ((x as f64 - y as f64) * 0.01).tanh());
-        let state = sim.simulate(&mask).unwrap();
-        let grad = sim.gradient(&state, &dldi).unwrap();
         let loss = |intensity: &RealGrid| -> f64 {
             intensity
                 .as_slice()
@@ -816,7 +655,10 @@ mod tests {
                 .map(|(i, g)| i * g)
                 .sum()
         };
-        let base = loss(&state.intensity);
+        let mut ws = sim.workspace();
+        sim.simulate_into(&mask, &mut ws).unwrap();
+        let base = loss(ws.intensity());
+        let grad = sim.gradient_into(&mut ws, &dldi).unwrap();
         let eps = 1e-5;
         let (px, py) = (22, 13);
         let original = mask.get(px, py);
@@ -838,9 +680,10 @@ mod tests {
         let mask = wavy_mask(n);
         let dldi = Grid::from_fn(n, n, |x, y| ((x * 3 + y) % 7) as f64 * 0.1 - 0.3);
 
-        // Fresh workspace per call.
-        let state = sim.simulate(&mask).unwrap();
-        let grad = sim.gradient(&state, &dldi).unwrap();
+        // A fresh workspace for one call.
+        let mut fresh = sim.workspace();
+        sim.simulate_into(&mask, &mut fresh).unwrap();
+        sim.gradient_into(&mut fresh, &dldi).unwrap();
 
         // One workspace reused across three iterations.
         let mut ws = sim.workspace();
@@ -848,8 +691,8 @@ mod tests {
             sim.simulate_into(&mask, &mut ws).unwrap();
             sim.gradient_into(&mut ws, &dldi).unwrap();
         }
-        assert_eq!(state.intensity.as_slice(), ws.intensity().as_slice());
-        assert_eq!(grad.as_slice(), ws.grad().as_slice());
+        assert_eq!(fresh.intensity().as_slice(), ws.intensity().as_slice());
+        assert_eq!(fresh.grad().as_slice(), ws.grad().as_slice());
     }
 
     #[test]
@@ -882,61 +725,6 @@ mod tests {
     }
 
     #[test]
-    fn real_and_complex_paths_agree() {
-        let cfg = OpticsConfig::test_small();
-        let kernels = KernelSet::build(&cfg, false).unwrap();
-        let real = LithoSimulator::new(cfg.base_n, kernels.clone()).unwrap();
-        assert_eq!(real.spectral_path(), SpectralPath::RealHermitian);
-        let complex = LithoSimulator::new(cfg.base_n, kernels)
-            .unwrap()
-            .with_spectral_path(SpectralPath::Complex);
-        let n = real.n();
-        let mask = wavy_mask(n);
-        let dldi = Grid::from_fn(n, n, |x, y| ((x as f64 - y as f64) * 0.01).tanh());
-
-        let mut ws_r = real.workspace();
-        real.simulate_into(&mask, &mut ws_r).unwrap();
-        real.gradient_into(&mut ws_r, &dldi).unwrap();
-        let mut ws_c = complex.workspace();
-        complex.simulate_into(&mask, &mut ws_c).unwrap();
-        complex.gradient_into(&mut ws_c, &dldi).unwrap();
-
-        // Different transform orders: equal to floating-point tolerance,
-        // not bit for bit.
-        for (a, b) in ws_r
-            .intensity()
-            .as_slice()
-            .iter()
-            .zip(ws_c.intensity().as_slice())
-        {
-            assert!((a - b).abs() < 1e-10, "intensity {a} vs {b}");
-        }
-        for (a, b) in ws_r.grad().as_slice().iter().zip(ws_c.grad().as_slice()) {
-            assert!((a - b).abs() < 1e-9, "grad {a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn one_workspace_survives_a_path_switch() {
-        let cfg = OpticsConfig::test_small();
-        let kernels = KernelSet::build(&cfg, false).unwrap();
-        let mut sim = LithoSimulator::new(cfg.base_n, kernels).unwrap();
-        let mask = wavy_mask(sim.n());
-        let mut ws = sim.workspace();
-        sim.simulate_into(&mask, &mut ws).unwrap();
-        let real_intensity = ws.intensity().clone();
-        sim.set_spectral_path(SpectralPath::Complex);
-        sim.simulate_into(&mask, &mut ws).unwrap();
-        for (a, b) in real_intensity
-            .as_slice()
-            .iter()
-            .zip(ws.intensity().as_slice())
-        {
-            assert!((a - b).abs() < 1e-10);
-        }
-    }
-
-    #[test]
     fn workspace_adapts_to_mismatched_simulator() {
         let cfg = OpticsConfig::test_small();
         let kernels = KernelSet::build(&cfg, false).unwrap();
@@ -947,7 +735,8 @@ mod tests {
         let mut ws = sim.workspace();
         let mask = wavy_mask(big.n());
         big.simulate_into(&mask, &mut ws).unwrap();
-        let fresh = big.simulate(&mask).unwrap();
-        assert_eq!(fresh.intensity.as_slice(), ws.intensity().as_slice());
+        let mut fresh = big.workspace();
+        big.simulate_into(&mask, &mut fresh).unwrap();
+        assert_eq!(fresh.intensity().as_slice(), ws.intensity().as_slice());
     }
 }

@@ -108,6 +108,7 @@ fn steady_state_simulate_gradient_is_allocation_free() {
     // Sanity: the measurement itself works — a fresh-workspace call does
     // allocate.
     let before = allocations_on_this_thread();
-    let _ = sim.simulate(&mask).unwrap();
+    let mut fresh = sim.workspace();
+    sim.simulate_into(&mask, &mut fresh).unwrap();
     assert!(allocations_on_this_thread() > before);
 }

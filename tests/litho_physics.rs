@@ -115,20 +115,24 @@ fn dose_monotonicity_of_prints() {
 
 #[test]
 fn simulator_rejects_foreign_state() {
-    // Gradient with a state from a different simulator must panic (shape
-    // assertion), not silently compute garbage.
+    // A workspace filled by one simulator's forward pass, handed to another
+    // simulator's adjoint, must not silently compute garbage.
     let bank = bank();
     let sys64 = bank.system(64, 1).expect("system");
     let mask = Grid::new(64, 64, 0.5);
-    let state = sys64.simulate(&mask).expect("sim");
+    let mut ws = sys64.workspace();
+    sys64.simulate_into(&mask, &mut ws).expect("sim");
     let sim_other = LithoSimulator::new(
         64,
         KernelSet::build(&OpticsConfig::test_small(), true).expect("k"),
     )
     .expect("sim");
-    // Same kernel count and shape: the gradient is well-defined (no panic);
-    // this documents that state compatibility is by shape, not identity.
+    // Same kernel count and shape: the gradient is well-defined (no panic)
+    // and runs on the foreign fields; this documents that workspace
+    // compatibility is by shape, not identity.
     let dldi = Grid::new(64, 64, 1.0);
-    let grad = sim_other.gradient(&state, &dldi).expect("gradient");
+    let grad = sim_other.gradient_into(&mut ws, &dldi).expect("gradient");
     assert_eq!(grad.width(), 64);
+    assert!(grad.as_slice().iter().all(|g| g.is_finite()));
+    assert!(grad.as_slice().iter().any(|&g| g != 0.0));
 }
