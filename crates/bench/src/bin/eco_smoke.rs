@@ -22,14 +22,12 @@
 //! ILT_SCALE=tiny cargo run --release -p ilt-bench --bin eco_smoke
 //! ```
 
-use std::fmt::Write as _;
-
 use ilt_bench::HarnessOptions;
 use ilt_core::experiment::Method;
 use ilt_diag::DiffThresholds;
+use ilt_json::Json;
 use ilt_layout::generate_clip;
 use ilt_store::MaskStore;
-use ilt_telemetry::json;
 use ilt_tile::Partition;
 
 /// One phase of the drill, as a trajectory point.
@@ -40,6 +38,19 @@ struct Phase {
     l2: usize,
     pvband: usize,
     stitch: f64,
+}
+
+impl Phase {
+    /// The members shared by a trajectory point and a `phases` entry.
+    fn members(&self) -> [(&'static str, Json); 5] {
+        [
+            ("wall_seconds", self.wall_seconds.into()),
+            ("tiles_solved", self.tiles_solved.into()),
+            ("l2", self.l2.into()),
+            ("pvband", self.pvband.into()),
+            ("stitch", self.stitch.into()),
+        ]
+    }
 }
 
 fn main() {
@@ -240,7 +251,8 @@ fn main() {
     );
 
     let path = opts.artifact("BENCH_eco.json");
-    std::fs::write(&path, render_trajectory(&opts, &phases, speedup)).expect("write trajectory");
+    let trajectory = render_trajectory(&opts, &phases, speedup);
+    std::fs::write(&path, format!("{trajectory}\n")).expect("write trajectory");
     println!("wrote {}", path.display());
 
     ilt_bench::set_report_section("incremental", render_section(&outcome, speedup, &phases));
@@ -249,78 +261,40 @@ fn main() {
 
 /// Renders the `ilt-bench-trajectory/v1` drill trajectory: one point per
 /// phase, so CI can track cold and warm wall times side by side.
-fn render_trajectory(opts: &HarnessOptions, phases: &[Phase], speedup: f64) -> String {
-    let mut out = String::from("{\"schema\":\"ilt-bench-trajectory/v1\",\"binary\":\"eco_smoke\"");
-    out.push_str(",\"scale\":");
-    json::push_str_literal(&mut out, &opts.scale);
-    let _ = write!(out, ",\"workers\":{}", opts.workers);
-    out.push_str(",\"speedup\":");
-    json::push_f64(&mut out, speedup);
-    out.push_str(",\"points\":[");
-    for (i, p) in phases.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"phase\":");
-        json::push_str_literal(&mut out, p.label);
-        out.push_str(",\"wall_seconds\":");
-        json::push_f64(&mut out, p.wall_seconds);
-        let _ = write!(
-            out,
-            ",\"tiles_solved\":{},\"l2\":{},\"pvband\":{},\"stitch\":",
-            p.tiles_solved, p.l2, p.pvband
-        );
-        json::push_f64(&mut out, p.stitch);
-        out.push('}');
-    }
-    out.push_str("]}\n");
-    out
+fn render_trajectory(opts: &HarnessOptions, phases: &[Phase], speedup: f64) -> Json {
+    let points = phases.iter().map(|p| {
+        Json::from_iter(
+            [("phase", Json::from(p.label))]
+                .into_iter()
+                .chain(p.members()),
+        )
+    });
+    Json::from_iter([
+        ("schema", Json::from("ilt-bench-trajectory/v1")),
+        ("binary", "eco_smoke".into()),
+        ("scale", opts.scale.as_str().into()),
+        ("workers", opts.workers.into()),
+        ("speedup", speedup.into()),
+        ("points", Json::Arr(points.collect())),
+    ])
 }
 
 /// Renders the optional `incremental` section of `report.json`: the reuse
 /// accounting and cold/warm comparison the `report_diff` baseline gates.
-fn render_section(
-    outcome: &ilt_core::IncrementalOutcome,
-    speedup: f64,
-    phases: &[Phase],
-) -> String {
-    let mut out = String::from("{");
-    let _ = write!(
-        out,
-        "\"tiles_reused\":{},\"tiles_resolved\":{},\"changed_pixels\":{},\
-         \"store_hits\":{},\"store_misses\":{},\"hit_ratio\":",
-        outcome.tiles_reused,
-        outcome.tiles_resolved,
-        outcome.diff.changed_pixels,
-        outcome.store_hits,
-        outcome.store_misses
-    );
-    json::push_f64(&mut out, outcome.hit_ratio());
-    out.push_str(",\"dirty_tiles\":[");
-    for (i, t) in outcome.diff.dirty.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{t}");
-    }
-    out.push_str("],\"speedup\":");
-    json::push_f64(&mut out, speedup);
-    out.push_str(",\"phases\":{");
-    for (i, p) in phases.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::push_str_literal(&mut out, p.label);
-        out.push_str(":{\"wall_seconds\":");
-        json::push_f64(&mut out, p.wall_seconds);
-        let _ = write!(
-            out,
-            ",\"tiles_solved\":{},\"l2\":{},\"pvband\":{},\"stitch\":",
-            p.tiles_solved, p.l2, p.pvband
-        );
-        json::push_f64(&mut out, p.stitch);
-        out.push('}');
-    }
-    out.push_str("}}");
-    out
+fn render_section(outcome: &ilt_core::IncrementalOutcome, speedup: f64, phases: &[Phase]) -> Json {
+    let dirty = outcome.diff.dirty.iter().map(|&t| Json::from(t));
+    let phases = phases
+        .iter()
+        .map(|p| (p.label, Json::from_iter(p.members())));
+    Json::from_iter([
+        ("tiles_reused", Json::from(outcome.tiles_reused)),
+        ("tiles_resolved", outcome.tiles_resolved.into()),
+        ("changed_pixels", outcome.diff.changed_pixels.into()),
+        ("store_hits", outcome.store_hits.into()),
+        ("store_misses", outcome.store_misses.into()),
+        ("hit_ratio", outcome.hit_ratio().into()),
+        ("dirty_tiles", Json::Arr(dirty.collect())),
+        ("speedup", speedup.into()),
+        ("phases", phases.collect()),
+    ])
 }

@@ -33,10 +33,9 @@
 //! ILT_SCALE=tiny cargo run --release -p ilt-bench --bin fullchip
 //! ```
 
-use std::fmt::Write as _;
-
 use ilt_bench::HarnessOptions;
 use ilt_core::experiment::{run_method, tiled_print_loss, Method};
+use ilt_json::Json;
 use ilt_layout::suite_of_size;
 use ilt_telemetry as tele;
 
@@ -187,13 +186,12 @@ fn main() {
         .filter(|p| p.tiles >= 16)
         .map(|p| p.resident_ratio)
         .fold(0.0f64, f64::max);
-    let mut section = String::from("{\"worst_resident_ratio_at_16_tiles\":");
-    tele::json::push_f64(&mut section, worst_big_ratio);
-    section.push('}');
-    ilt_bench::set_report_section("fullchip", section);
+    let section = [("worst_resident_ratio_at_16_tiles", worst_big_ratio.into())];
+    ilt_bench::set_report_section("fullchip", Json::from_iter(section));
 
     let path = opts.artifact("BENCH_fullchip.json");
-    std::fs::write(&path, render_trajectory(&opts, &points)).expect("cannot write trajectory");
+    let trajectory = render_trajectory(&opts, &points);
+    std::fs::write(&path, format!("{trajectory}\n")).expect("cannot write trajectory");
     println!("wrote {}", path.display());
 
     opts.finish_run("fullchip");
@@ -223,49 +221,39 @@ fn measured_run(
 }
 
 /// Renders the `ilt-bench-trajectory/v1` full-chip trajectory.
-fn render_trajectory(opts: &HarnessOptions, points: &[GridPoint]) -> String {
-    use tele::json;
-    let mut out = String::from("{\"schema\":\"ilt-bench-trajectory/v1\",\"binary\":\"fullchip\"");
-    out.push_str(",\"scale\":");
-    json::push_str_literal(&mut out, &opts.scale);
-    let _ = write!(out, ",\"workers\":{}", opts.workers);
-    out.push_str(",\"points\":[");
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"grid\":");
-        json::push_str_literal(&mut out, &p.grid);
-        let _ = write!(
-            out,
-            ",\"tiles\":{},\"clip\":{},\"s_max\":{}",
-            p.tiles, p.clip, p.s_max
-        );
-        out.push_str(",\"streamed_wall_seconds\":");
-        json::push_f64(&mut out, p.streamed_wall_seconds);
-        out.push_str(",\"held_wall_seconds\":");
-        json::push_f64(&mut out, p.held_wall_seconds);
-        let _ = write!(
-            out,
-            ",\"streamed_peak_live_bytes\":{},\"held_peak_live_bytes\":{}",
-            p.streamed_peak_live_delta, p.held_peak_live_delta
-        );
-        let _ = write!(
-            out,
-            ",\"streamed_peak_resident_tile_bytes\":{},\"held_peak_resident_tile_bytes\":{}",
-            p.streamed_peak_resident_tile_bytes, p.held_peak_resident_tile_bytes
-        );
-        out.push_str(",\"resident_ratio\":");
-        json::push_f64(&mut out, p.resident_ratio);
-        let _ = write!(
-            out,
-            ",\"window_peak_rss_bytes\":{},\"loss\":{}",
-            p.window_peak_rss_bytes, p.loss
-        );
-        out.push_str(",\"loss_density\":");
-        json::push_f64(&mut out, p.loss_density);
-        out.push('}');
-    }
-    out.push_str("]}\n");
-    out
+fn render_trajectory(opts: &HarnessOptions, points: &[GridPoint]) -> Json {
+    let points = points.iter().map(|p| {
+        Json::from_iter([
+            ("grid", Json::from(p.grid.as_str())),
+            ("tiles", p.tiles.into()),
+            ("clip", p.clip.into()),
+            ("s_max", p.s_max.into()),
+            ("streamed_wall_seconds", p.streamed_wall_seconds.into()),
+            ("held_wall_seconds", p.held_wall_seconds.into()),
+            (
+                "streamed_peak_live_bytes",
+                p.streamed_peak_live_delta.into(),
+            ),
+            ("held_peak_live_bytes", p.held_peak_live_delta.into()),
+            (
+                "streamed_peak_resident_tile_bytes",
+                p.streamed_peak_resident_tile_bytes.into(),
+            ),
+            (
+                "held_peak_resident_tile_bytes",
+                p.held_peak_resident_tile_bytes.into(),
+            ),
+            ("resident_ratio", p.resident_ratio.into()),
+            ("window_peak_rss_bytes", p.window_peak_rss_bytes.into()),
+            ("loss", p.loss.into()),
+            ("loss_density", p.loss_density.into()),
+        ])
+    });
+    Json::from_iter([
+        ("schema", Json::from("ilt-bench-trajectory/v1")),
+        ("binary", "fullchip".into()),
+        ("scale", opts.scale.as_str().into()),
+        ("workers", opts.workers.into()),
+        ("points", Json::Arr(points.collect())),
+    ])
 }

@@ -26,11 +26,10 @@
 //! ILT_SCALE=tiny cargo run --release -p ilt-bench --bin memprofile
 //! ```
 
-use std::fmt::Write as _;
-
 use ilt_bench::HarnessOptions;
 use ilt_core::experiment::Method;
 use ilt_core::Session;
+use ilt_json::Json;
 use ilt_layout::suite_of_size;
 use ilt_prof::Stage;
 use ilt_telemetry as tele;
@@ -197,7 +196,8 @@ fn main() {
     }
 
     let path = opts.artifact("BENCH_memory.json");
-    std::fs::write(&path, render_trajectory(&opts, &points)).expect("cannot write trajectory");
+    let trajectory = render_trajectory(&opts, &points);
+    std::fs::write(&path, format!("{trajectory}\n")).expect("cannot write trajectory");
     println!("wrote {}", path.display());
 
     let flame = opts.artifact("memprofile_flame.txt");
@@ -209,54 +209,40 @@ fn main() {
 }
 
 /// Renders the `ilt-bench-trajectory/v1` memory trajectory.
-fn render_trajectory(opts: &HarnessOptions, points: &[GridPoint]) -> String {
-    use tele::json;
-    let mut out = String::from("{\"schema\":\"ilt-bench-trajectory/v1\",\"binary\":\"memprofile\"");
-    out.push_str(",\"scale\":");
-    json::push_str_literal(&mut out, &opts.scale);
-    let _ = write!(out, ",\"workers\":{}", opts.workers);
-    out.push_str(",\"points\":[");
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"grid\":");
-        json::push_str_literal(&mut out, &p.grid);
-        let _ = write!(
-            out,
-            ",\"tiles\":{},\"clip\":{},\"iterations\":{}",
-            p.tiles, p.clip, p.iterations
-        );
-        out.push_str(",\"wall_seconds\":");
-        json::push_f64(&mut out, p.wall_seconds);
-        let _ = write!(
-            out,
-            ",\"peak_rss_bytes\":{},\"window_peak_rss_bytes\":{}",
-            p.peak_rss_bytes, p.window_peak_rss_bytes
-        );
-        let _ = write!(
-            out,
-            ",\"allocated_bytes\":{},\"allocation_calls\":{},\"peak_live_bytes\":{}",
-            p.allocated_bytes, p.allocation_calls, p.peak_live_bytes
-        );
-        out.push_str(",\"bytes_per_iteration\":");
-        json::push_f64(&mut out, p.bytes_per_iteration);
-        out.push_str(",\"stage_attribution_fraction\":");
-        json::push_f64(&mut out, p.stage_attribution_fraction);
-        out.push_str(",\"stages\":{");
-        for (j, s) in p.stages.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            json::push_str_literal(&mut out, s.stage.name());
-            let _ = write!(
-                out,
-                ":{{\"bytes\":{},\"calls\":{},\"samples\":{}}}",
-                s.bytes, s.calls, s.samples
-            );
-        }
-        out.push_str("}}");
-    }
-    out.push_str("]}\n");
-    out
+fn render_trajectory(opts: &HarnessOptions, points: &[GridPoint]) -> Json {
+    let points = points.iter().map(|p| {
+        let stages = p.stages.iter().map(|s| {
+            let usage = Json::from_iter([
+                ("bytes", Json::from(s.bytes)),
+                ("calls", s.calls.into()),
+                ("samples", s.samples.into()),
+            ]);
+            (s.stage.name(), usage)
+        });
+        Json::from_iter([
+            ("grid", Json::from(p.grid.as_str())),
+            ("tiles", p.tiles.into()),
+            ("clip", p.clip.into()),
+            ("iterations", p.iterations.into()),
+            ("wall_seconds", p.wall_seconds.into()),
+            ("peak_rss_bytes", p.peak_rss_bytes.into()),
+            ("window_peak_rss_bytes", p.window_peak_rss_bytes.into()),
+            ("allocated_bytes", p.allocated_bytes.into()),
+            ("allocation_calls", p.allocation_calls.into()),
+            ("peak_live_bytes", p.peak_live_bytes.into()),
+            ("bytes_per_iteration", p.bytes_per_iteration.into()),
+            (
+                "stage_attribution_fraction",
+                p.stage_attribution_fraction.into(),
+            ),
+            ("stages", stages.collect()),
+        ])
+    });
+    Json::from_iter([
+        ("schema", Json::from("ilt-bench-trajectory/v1")),
+        ("binary", "memprofile".into()),
+        ("scale", opts.scale.as_str().into()),
+        ("workers", opts.workers.into()),
+        ("points", Json::Arr(points.collect())),
+    ])
 }

@@ -31,11 +31,10 @@
 //! ILT_SCALE=tiny ILT_INNER_THREADS=4 cargo run --release -p ilt-bench --bin microbench
 //! ```
 
-use std::fmt::Write as _;
-
 use ilt_bench::HarnessOptions;
 use ilt_fft::{spectral, Complex, Fft2d, Rfft2d};
 use ilt_grid::Grid;
+use ilt_json::Json;
 use ilt_opt::{evaluate_loss_into, LossEval};
 use ilt_par::InnerPool;
 use ilt_telemetry as tele;
@@ -314,11 +313,8 @@ fn main() {
     );
 
     let path = opts.artifact("microbench_summary.json");
-    std::fs::write(
-        &path,
-        render_summary(&opts, &points, obs_overhead, obs_profile_overhead),
-    )
-    .expect("cannot write summary");
+    let summary = render_summary(&opts, &points, obs_overhead, obs_profile_overhead);
+    std::fs::write(&path, format!("{summary}\n")).expect("cannot write summary");
     println!("wrote {}", path.display());
 
     // The `microbench` report section carries the iteration timing (gated
@@ -334,23 +330,21 @@ fn main() {
 /// Renders the `microbench` report section: the per-iteration time of the
 /// full solver iteration, plus every (size, threads) -> (block, row_batch)
 /// choice the FFT plan cache autotuned during the run.
-fn render_microbench_section(fast_us: f64) -> String {
-    use tele::json;
-    let mut out = String::from("{\"iteration_fast_us\":");
-    json::push_f64(&mut out, fast_us);
-    out.push_str(",\"autotune\":[");
-    for (i, (n, threads, params)) in ilt_fft::tuned_summary().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"n\":{n},\"threads\":{threads},\"block\":{},\"row_batch\":{}}}",
-            params.block, params.row_batch
-        );
-    }
-    out.push_str("]}");
-    out
+fn render_microbench_section(fast_us: f64) -> Json {
+    let autotune = ilt_fft::tuned_summary()
+        .into_iter()
+        .map(|(n, threads, params)| {
+            Json::from_iter([
+                ("n", Json::from(n)),
+                ("threads", threads.into()),
+                ("block", params.block.into()),
+                ("row_batch", params.row_batch.into()),
+            ])
+        });
+    Json::from_iter([
+        ("iteration_fast_us", Json::from(fast_us)),
+        ("autotune", Json::Arr(autotune.collect())),
+    ])
 }
 
 /// Renders the single-point `ilt-bench-trajectory/v1` summary.
@@ -359,30 +353,22 @@ fn render_summary(
     points: &[BenchPoint],
     obs_overhead: f64,
     obs_profile_overhead: f64,
-) -> String {
-    use tele::json;
-    let mut out = String::from("{\"schema\":\"ilt-bench-trajectory/v1\",\"binary\":\"microbench\"");
-    out.push_str(",\"scale\":");
-    json::push_str_literal(&mut out, &opts.scale);
-    let _ = write!(out, ",\"inner_threads\":{}", opts.inner_threads);
-    out.push_str(",\"obs_overhead_ratio\":");
-    json::push_f64(&mut out, obs_overhead);
-    out.push_str(",\"obs_profile_overhead_ratio\":");
-    json::push_f64(&mut out, obs_profile_overhead);
-    out.push_str(",\"benches\":[");
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"name\":");
-        json::push_str_literal(&mut out, &p.name);
-        let _ = write!(out, ",\"iters\":{}", p.iters);
-        out.push_str(",\"seconds\":");
-        json::push_f64(&mut out, p.seconds);
-        out.push_str(",\"us_per_iter\":");
-        json::push_f64(&mut out, p.us_per_iter());
-        out.push('}');
-    }
-    out.push_str("]}\n");
-    out
+) -> Json {
+    let benches = points.iter().map(|p| {
+        Json::from_iter([
+            ("name", Json::from(p.name.as_str())),
+            ("iters", p.iters.into()),
+            ("seconds", p.seconds.into()),
+            ("us_per_iter", p.us_per_iter().into()),
+        ])
+    });
+    Json::from_iter([
+        ("schema", Json::from("ilt-bench-trajectory/v1")),
+        ("binary", "microbench".into()),
+        ("scale", opts.scale.as_str().into()),
+        ("inner_threads", opts.inner_threads.into()),
+        ("obs_overhead_ratio", obs_overhead.into()),
+        ("obs_profile_overhead_ratio", obs_profile_overhead.into()),
+        ("benches", Json::Arr(benches.collect())),
+    ])
 }

@@ -174,7 +174,12 @@ fn run_load(target: &str, conns: usize, jobs: usize, scale: &str) -> LoadStats {
 fn run_one_job(target: &str, index: usize, scale: &str, stats: &mut LoadStats) {
     // Cycle through the benchmark suite so the cases vary but stay valid.
     let case = (index % 20) + 1;
-    let spec = format!("{{\"case\":{case},\"method\":\"ours\",\"scale\":\"{scale}\"}}");
+    let spec = Json::from_iter([
+        ("case", Json::from(case)),
+        ("method", "ours".into()),
+        ("scale", scale.into()),
+    ])
+    .to_string();
     let started = Instant::now();
     let mut id = None;
     for _attempt in 0..MAX_SUBMIT_ATTEMPTS {

@@ -28,10 +28,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::fmt::Write as _;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::{Mutex, PoisonError};
 
 use ilt_core::ExperimentConfig;
+use ilt_json::Json;
 use ilt_litho::{LithoBank, ResistModel};
 use ilt_telemetry::Telemetry;
 use ilt_tile::TileExecutor;
@@ -164,7 +166,7 @@ impl HarnessOptions {
         let anomalies = ilt_diag::anomalies_from(&tele);
         let report = render_report(binary, self, &tele, trace_enabled, &diag, &anomalies);
         let path = self.artifact("report.json");
-        std::fs::write(&path, report).expect("cannot write report.json");
+        std::fs::write(&path, report.to_string()).expect("cannot write report.json");
         println!("wrote {}", path.display());
         if trace_enabled {
             let dir = std::env::var("ILT_TRACE_OUT")
@@ -188,29 +190,18 @@ impl HarnessOptions {
 /// drill uses this to attach its `incremental` section (reuse accounting,
 /// cold-vs-warm timing, quality deltas) to the standard `ilt-report/v2`
 /// document, where `report_diff` gates it alongside latency and quality.
-static EXTRA_SECTIONS: std::sync::Mutex<Vec<(String, String)>> = std::sync::Mutex::new(Vec::new());
+static EXTRA_SECTIONS: Mutex<BTreeMap<String, Json>> = Mutex::new(BTreeMap::new());
 
-/// Registers (or replaces) an extra top-level `report.json` section. The
-/// value must be a complete JSON document; it is embedded verbatim under
-/// the given key by the next [`HarnessOptions::finish_run`]. Section names
-/// must not collide with the standard `ilt-report/v2` keys — consumers
-/// treat unknown sections as optional, so a report with extras stays
-/// backwards-compatible.
-pub fn set_report_section(name: &str, json: String) {
-    let mut sections = EXTRA_SECTIONS.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(slot) = sections.iter_mut().find(|(n, _)| n == name) {
-        slot.1 = json;
-    } else {
-        sections.push((name.to_string(), json));
-    }
-}
-
-/// Snapshot of the registered extra sections, in registration order.
-fn extra_sections() -> Vec<(String, String)> {
+/// Registers (or replaces) an extra top-level `report.json` section,
+/// embedded under the given key by the next
+/// [`HarnessOptions::finish_run`]. Section names must not collide with the
+/// standard `ilt-report/v2` keys — consumers treat unknown sections as
+/// optional, so a report with extras stays backwards-compatible.
+pub fn set_report_section(name: &str, section: Json) {
     EXTRA_SECTIONS
         .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone()
+        .unwrap_or_else(PoisonError::into_inner)
+        .insert(name.to_string(), section);
 }
 
 /// Replaces every non-alphanumeric character with `_` so case and method
@@ -346,180 +337,125 @@ fn render_report(
     trace_enabled: bool,
     diag: &ilt_diag::RunDiagnostics,
     anomalies: &[ilt_diag::AnomalyEvent],
-) -> String {
-    use ilt_telemetry::json;
-    let mut out = String::from("{\"schema\":\"ilt-report/v2\",\"binary\":");
-    json::push_str_literal(&mut out, binary);
-    out.push_str(",\"scale\":");
-    json::push_str_literal(&mut out, &opts.scale);
-    let _ = write!(
-        out,
-        ",\"cases\":{},\"workers\":{},\"inner_threads\":{},\"trace_enabled\":{}",
-        opts.cases, opts.workers, opts.inner_threads, trace_enabled
-    );
-    out.push_str(",\"flows\":[");
-    for (i, flow) in tele.flow_summaries().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"name\":");
-        json::push_str_literal(&mut out, &flow.name);
-        out.push_str(",\"seconds\":");
-        json::push_f64(&mut out, flow.seconds);
-        out.push_str(",\"stages\":[");
-        for (j, stage) in flow.stages.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"label\":");
-            json::push_str_literal(&mut out, &stage.label);
-            out.push_str(",\"seconds\":");
-            json::push_f64(&mut out, stage.seconds);
-            let _ = write!(
-                out,
-                ",\"tile_count\":{},\"tile_seconds\":",
-                stage.tile_count
-            );
-            json::push_f64(&mut out, stage.tile_seconds);
-            out.push_str(",\"assembly_seconds\":");
-            json::push_f64(&mut out, stage.assembly_seconds);
+) -> Json {
+    let flow_json = |flow: &ilt_telemetry::FlowSummary| {
+        let stages = flow.stages.iter().map(|stage| {
             let (p50, p95, p99) = stage.tile_us_percentiles();
-            out.push_str(",\"tile_us_p50\":");
-            json::push_f64(&mut out, p50);
-            out.push_str(",\"tile_us_p95\":");
-            json::push_f64(&mut out, p95);
-            out.push_str(",\"tile_us_p99\":");
-            json::push_f64(&mut out, p99);
-            out.push('}');
-        }
-        out.push_str("]}");
+            Json::from_iter([
+                ("label", Json::from(stage.label.as_str())),
+                ("seconds", stage.seconds.into()),
+                ("tile_count", stage.tile_count.into()),
+                ("tile_seconds", stage.tile_seconds.into()),
+                ("assembly_seconds", stage.assembly_seconds.into()),
+                ("tile_us_p50", p50.into()),
+                ("tile_us_p95", p95.into()),
+                ("tile_us_p99", p99.into()),
+            ])
+        });
+        Json::from_iter([
+            ("name", Json::from(flow.name.as_str())),
+            ("seconds", flow.seconds.into()),
+            ("stages", Json::Arr(stages.collect())),
+        ])
+    };
+    let counters = tele.counters.iter().map(|(k, v)| (k.as_str(), (*v).into()));
+    let gauges = tele.gauges.iter().map(|(k, v)| (k.as_str(), (*v).into()));
+    let histograms = tele
+        .histograms
+        .iter()
+        .map(|(k, h)| (k.as_str(), Json::from_iter(h.summary_members())));
+    let mut report = EXTRA_SECTIONS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clone();
+    let standard = [
+        ("schema", Json::from("ilt-report/v2")),
+        ("binary", binary.into()),
+        ("scale", opts.scale.as_str().into()),
+        ("cases", opts.cases.into()),
+        ("workers", opts.workers.into()),
+        ("inner_threads", opts.inner_threads.into()),
+        ("trace_enabled", trace_enabled.into()),
+        (
+            "flows",
+            Json::Arr(tele.flow_summaries().iter().map(flow_json).collect()),
+        ),
+        ("counters", counters.collect()),
+        ("histograms", histograms.collect()),
+        ("gauges", gauges.collect()),
+        ("latency_budget", tele.latency_budget().to_json()),
+        (
+            "diagnostics",
+            ilt_diag::render_diagnostics_json(diag, anomalies),
+        ),
+        ("spans", tele.span_tree_json()),
+    ];
+    report.extend(standard.map(|(key, value)| (key.to_string(), value)));
+    if let Some(profile) = profile_section() {
+        report.insert("profile".to_string(), profile);
     }
-    out.push_str("],\"counters\":{");
-    for (i, (name, v)) in tele.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::push_str_literal(&mut out, name);
-        let _ = write!(out, ":{v}");
+    if let Some(memory) = memory_section() {
+        report.insert("memory".to_string(), memory);
     }
-    out.push_str("},\"histograms\":{");
-    for (i, (name, h)) in tele.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::push_str_literal(&mut out, name);
-        let _ = write!(
-            out,
-            ":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-            h.count(),
-            h.sum(),
-            h.min(),
-            h.max(),
-            h.quantile(0.5),
-            h.quantile(0.95),
-            h.quantile(0.99)
-        );
-    }
-    out.push_str("},\"gauges\":{");
-    for (i, (name, v)) in tele.gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::push_str_literal(&mut out, name);
-        out.push(':');
-        json::push_f64(&mut out, *v);
-    }
-    out.push('}');
-    for (name, section) in extra_sections() {
-        out.push(',');
-        json::push_str_literal(&mut out, &name);
-        out.push(':');
-        out.push_str(&section);
-    }
-    push_profile_section(&mut out);
-    push_memory_section(&mut out);
-    out.push_str(",\"latency_budget\":");
-    out.push_str(&tele.latency_budget().to_json());
-    out.push_str(",\"diagnostics\":");
-    out.push_str(&ilt_diag::render_diagnostics_json(diag, anomalies));
-    out.push_str(",\"spans\":");
-    out.push_str(&tele.span_tree_json());
-    out.push('}');
-    out
+    Json::Obj(report)
 }
 
-/// Appends the optional `profile` report section: CPU-sampler state, the
-/// top self-time frames, and the per-stage sample split. Skipped entirely
+/// The optional `profile` report section: CPU-sampler state, the top
+/// self-time frames, and the per-stage sample split. Skipped entirely
 /// when the sampler neither ran nor collected anything, so reports from
 /// unprofiled runs keep the pre-profiling shape.
-fn push_profile_section(out: &mut String) {
-    use ilt_telemetry::json;
+fn profile_section() -> Option<Json> {
     let (samples, ticks) = ilt_prof::cpu::sample_counts();
     if samples == 0 && !ilt_prof::sampler_running() {
-        return;
+        return None;
     }
-    out.push_str(",\"profile\":{\"sampler_hz\":");
-    json::push_f64(out, ilt_prof::sampler_hz());
-    let _ = write!(out, ",\"samples\":{samples},\"ticks\":{ticks}");
-    out.push_str(",\"top_self\":[");
-    for (i, (frame, n)) in ilt_prof::cpu::top_self(20).iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"frame\":");
-        json::push_str_literal(out, frame);
-        let _ = write!(out, ",\"samples\":{n}}}");
-    }
-    out.push_str("],\"samples_per_stage\":{");
-    for (i, (stage, n)) in ilt_prof::cpu::samples_per_stage().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::push_str_literal(out, stage);
-        let _ = write!(out, ":{n}");
-    }
-    out.push_str("}}");
+    let top_self = ilt_prof::cpu::top_self(20)
+        .into_iter()
+        .map(|(frame, n)| Json::from_iter([("frame", Json::from(frame)), ("samples", n.into())]));
+    let per_stage = ilt_prof::cpu::samples_per_stage()
+        .into_iter()
+        .map(|(stage, n)| (stage, Json::from(n)));
+    Some(Json::from_iter([
+        ("sampler_hz", Json::from(ilt_prof::sampler_hz())),
+        ("samples", samples.into()),
+        ("ticks", ticks.into()),
+        ("top_self", Json::Arr(top_self.collect())),
+        ("samples_per_stage", per_stage.collect()),
+    ]))
 }
 
-/// Appends the optional `memory` report section: current/peak RSS (the
-/// field the `report_diff` `--max-rss-ratio` gate reads) plus, when the
-/// tracking allocator is on, global and per-stage allocation counters.
-fn push_memory_section(out: &mut String) {
-    use ilt_telemetry::json;
+/// The optional `memory` report section: current/peak RSS (the field the
+/// `report_diff` `--max-rss-ratio` gate reads) plus, when the tracking
+/// allocator is on, global and per-stage allocation counters. Skipped
+/// when neither is available.
+fn memory_section() -> Option<Json> {
     let rss = ilt_prof::rss::read();
     let alloc = ilt_prof::alloc::stats();
     if rss.is_none() && !alloc.enabled {
-        return;
+        return None;
     }
-    out.push_str(",\"memory\":{");
     let (current, peak) = rss.map_or((0, 0), |r| (r.current_bytes, r.peak_bytes));
-    let _ = write!(
-        out,
-        "\"current_rss_bytes\":{current},\"peak_rss_bytes\":{peak}"
-    );
+    let mut members = vec![
+        ("current_rss_bytes", Json::from(current)),
+        ("peak_rss_bytes", peak.into()),
+    ];
     if alloc.enabled {
-        let _ = write!(
-            out,
-            ",\"alloc\":{{\"allocated_bytes\":{},\"allocation_calls\":{},\
-             \"freed_bytes\":{},\"free_calls\":{},\"live_bytes\":{},\
-             \"peak_live_bytes\":{},\"stages\":{{",
-            alloc.allocated_bytes,
-            alloc.allocation_calls,
-            alloc.freed_bytes,
-            alloc.free_calls,
-            alloc.live_bytes,
-            alloc.peak_live_bytes
-        );
-        for (i, s) in alloc.stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::push_str_literal(out, s.stage.name());
-            let _ = write!(out, ":{{\"bytes\":{},\"calls\":{}}}", s.bytes, s.calls);
-        }
-        out.push_str("}}");
+        let stages = alloc.stages.iter().map(|s| {
+            let usage = [("bytes", Json::from(s.bytes)), ("calls", s.calls.into())];
+            (s.stage.name(), Json::from_iter(usage))
+        });
+        let alloc = Json::from_iter([
+            ("allocated_bytes", Json::from(alloc.allocated_bytes)),
+            ("allocation_calls", alloc.allocation_calls.into()),
+            ("freed_bytes", alloc.freed_bytes.into()),
+            ("free_calls", alloc.free_calls.into()),
+            ("live_bytes", alloc.live_bytes.into()),
+            ("peak_live_bytes", alloc.peak_live_bytes.into()),
+            ("stages", stages.collect()),
+        ]);
+        members.push(("alloc", alloc));
     }
-    out.push('}');
+    Some(Json::from_iter(members))
 }
 
 /// Formats a fixed-width table row for terminal output.
@@ -582,17 +518,20 @@ mod tests {
             &ilt_diag::RunDiagnostics::default(),
             &[],
         );
-        assert!(report.starts_with("{\"schema\":\"ilt-report/v2\""));
-        assert!(report.contains("\"binary\":\"smoke\""));
-        assert!(report.contains("\"scale\":\"tiny\""));
-        assert!(report.contains("\"trace_enabled\":false"));
-        assert!(report.ends_with('}'));
         // The whole report must be well-formed JSON with the v2 sections in
         // place (empty, since no telemetry was collected).
-        let json = ilt_diag::Json::parse(&report).expect("report parses");
+        let json = Json::parse(&report.to_string()).expect("report parses");
+        assert!(matches!(json, Json::Obj(_)), "the report is an object");
+        for (key, value) in [
+            ("schema", "ilt-report/v2"),
+            ("binary", "smoke"),
+            ("scale", "tiny"),
+        ] {
+            assert_eq!(json.get(key).and_then(Json::as_str), Some(value), "{key}");
+        }
         assert_eq!(
-            json.get("schema").and_then(|s| s.as_str()),
-            Some("ilt-report/v2")
+            json.get("trace_enabled").and_then(Json::as_bool),
+            Some(false)
         );
         let diagnostics = json.get("diagnostics").expect("diagnostics section");
         for key in ["convergence", "quality", "anomalies", "degraded"] {
@@ -662,7 +601,7 @@ mod tests {
             &ilt_diag::RunDiagnostics::default(),
             &[],
         );
-        let json = ilt_diag::Json::parse(&report).expect("report parses");
+        let json = Json::parse(&report.to_string()).expect("report parses");
         let profile = json.get("profile").expect("profile section");
         assert!(
             profile
@@ -694,9 +633,10 @@ mod tests {
             inner_threads: 1,
             out_dir: PathBuf::from("results"),
         };
-        set_report_section("extra_section_test", "{\"speedup\":3.5}".to_string());
+        let speedup = |v: f64| Json::from_iter([("speedup", Json::from(v))]);
+        set_report_section("extra_section_test", speedup(3.5));
         // Replacement by name, not duplication.
-        set_report_section("extra_section_test", "{\"speedup\":4.0}".to_string());
+        set_report_section("extra_section_test", speedup(4.0));
         let report = render_report(
             "smoke",
             &opts,
@@ -705,7 +645,8 @@ mod tests {
             &ilt_diag::RunDiagnostics::default(),
             &[],
         );
-        let json = ilt_diag::Json::parse(&report).expect("report parses");
+        let report = report.to_string();
+        let json = Json::parse(&report).expect("report parses");
         assert_eq!(
             json.path(&["extra_section_test", "speedup"])
                 .and_then(|v| v.as_f64()),

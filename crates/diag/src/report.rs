@@ -2,9 +2,8 @@
 //! `report.json` (schema `ilt-report/v2`) and extracts anomaly events back
 //! out of a telemetry snapshot.
 
-use std::fmt::Write as _;
-
-use ilt_telemetry::{json, names, FieldValue, Telemetry};
+use ilt_json::Json;
+use ilt_telemetry::{names, FieldValue, Telemetry};
 
 use crate::sink::{CaseQuality, RunDiagnostics, StageCell};
 
@@ -66,128 +65,93 @@ pub fn anomalies_from(telemetry: &Telemetry) -> Vec<AnomalyEvent> {
 /// Renders the `diagnostics` JSON object embedded in `ilt-report/v2`:
 /// the convergence matrix (one cell per observed tile solve), the per-case
 /// quality matrices with folded summaries, and the flattened anomaly list.
-pub fn render_diagnostics_json(diag: &RunDiagnostics, anomalies: &[AnomalyEvent]) -> String {
-    let mut out = String::from("{\"convergence\":[");
-    for (i, cell) in diag.solves.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_cell(&mut out, cell);
-    }
-    out.push_str("],\"quality\":[");
-    for (i, case) in diag.cases.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_case(&mut out, case);
-    }
-    out.push_str("],\"anomalies\":[");
-    for (i, a) in anomalies.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_anomaly(&mut out, a);
-    }
-    out.push_str("],\"degraded\":[");
-    for (i, d) in diag.degraded.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_degraded(&mut out, d);
-    }
-    let _ = write!(out, "],\"tiles_degraded\":{}}}", diag.degraded.len());
-    out
+pub fn render_diagnostics_json(diag: &RunDiagnostics, anomalies: &[AnomalyEvent]) -> Json {
+    Json::from_iter([
+        (
+            "convergence",
+            Json::Arr(diag.solves.iter().map(cell_json).collect()),
+        ),
+        (
+            "quality",
+            Json::Arr(diag.cases.iter().map(case_json).collect()),
+        ),
+        (
+            "anomalies",
+            Json::Arr(anomalies.iter().map(anomaly_json).collect()),
+        ),
+        (
+            "degraded",
+            Json::Arr(diag.degraded.iter().map(degraded_json).collect()),
+        ),
+        ("tiles_degraded", diag.degraded.len().into()),
+    ])
 }
 
-fn push_cell(out: &mut String, cell: &StageCell) {
-    out.push_str("{\"flow\":");
-    json::push_str_literal(out, &cell.flow);
-    out.push_str(",\"stage\":");
-    json::push_str_literal(out, &cell.stage);
-    let _ = write!(
-        out,
-        ",\"tile\":{},\"iterations\":{}",
-        cell.tile, cell.iterations
-    );
-    out.push_str(",\"final_loss\":");
-    match cell.final_loss {
-        Some(v) => json::push_f64(out, v),
-        None => out.push_str("null"),
-    }
-    out.push_str(",\"anomalies\":[");
-    for (i, a) in cell.anomalies.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::push_str_literal(out, a.kind.code());
-    }
-    out.push_str("]}");
+fn cell_json(cell: &StageCell) -> Json {
+    let anomalies = cell.anomalies.iter().map(|a| a.kind.code().into());
+    Json::from_iter([
+        ("flow", Json::from(cell.flow.as_str())),
+        ("stage", cell.stage.as_str().into()),
+        ("tile", cell.tile.into()),
+        ("iterations", cell.iterations.into()),
+        ("final_loss", cell.final_loss.into()),
+        ("anomalies", Json::Arr(anomalies.collect())),
+    ])
 }
 
-fn push_case(out: &mut String, case: &CaseQuality) {
-    out.push_str("{\"case\":");
-    json::push_str_literal(out, &case.case);
-    out.push_str(",\"method\":");
-    json::push_str_literal(out, &case.method);
+fn case_json(case: &CaseQuality) -> Json {
     let s = case.summary();
-    out.push_str(",\"summary\":{\"epe_p95\":");
-    json::push_f64(out, s.epe_p95);
-    let _ = write!(
-        out,
-        ",\"epe_max\":{},\"epe_violations\":{},\"stitch\":",
-        s.epe_max, s.epe_violations
-    );
-    json::push_f64(out, s.stitch);
-    let _ = write!(out, ",\"mrc\":{}}}", s.mrc);
-    out.push_str(",\"tiles\":[");
-    for (i, t) in case.tiles.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"tile\":{},\"epe_gauges\":{}", t.tile, t.epe_gauges);
-        out.push_str(",\"epe_p50\":");
-        json::push_f64(out, t.epe_p50);
-        out.push_str(",\"epe_p95\":");
-        json::push_f64(out, t.epe_p95);
-        let _ = write!(
-            out,
-            ",\"epe_max\":{},\"epe_violations\":{},\"stitch\":",
-            t.epe_max, t.epe_violations
-        );
-        json::push_f64(out, t.stitch);
-        let _ = write!(out, ",\"mrc\":{}}}", t.mrc);
-    }
-    out.push_str("]}");
+    let summary = Json::from_iter([
+        ("epe_p95", Json::from(s.epe_p95)),
+        ("epe_max", s.epe_max.into()),
+        ("epe_violations", s.epe_violations.into()),
+        ("stitch", s.stitch.into()),
+        ("mrc", s.mrc.into()),
+    ]);
+    let tiles = case.tiles.iter().map(|t| {
+        Json::from_iter([
+            ("tile", Json::from(t.tile)),
+            ("epe_gauges", t.epe_gauges.into()),
+            ("epe_p50", t.epe_p50.into()),
+            ("epe_p95", t.epe_p95.into()),
+            ("epe_max", t.epe_max.into()),
+            ("epe_violations", t.epe_violations.into()),
+            ("stitch", t.stitch.into()),
+            ("mrc", t.mrc.into()),
+        ])
+    });
+    Json::from_iter([
+        ("case", Json::from(case.case.as_str())),
+        ("method", case.method.as_str().into()),
+        ("summary", summary),
+        ("tiles", Json::Arr(tiles.collect())),
+    ])
 }
 
-fn push_degraded(out: &mut String, d: &crate::sink::DegradedTileRecord) {
-    out.push_str("{\"flow\":");
-    json::push_str_literal(out, &d.flow);
-    out.push_str(",\"stage\":");
-    json::push_str_literal(out, &d.stage);
-    let _ = write!(out, ",\"tile\":{},\"error\":", d.tile);
-    json::push_str_literal(out, &d.error);
-    out.push('}');
+fn degraded_json(d: &crate::sink::DegradedTileRecord) -> Json {
+    Json::from_iter([
+        ("flow", Json::from(d.flow.as_str())),
+        ("stage", d.stage.as_str().into()),
+        ("tile", d.tile.into()),
+        ("error", d.error.as_str().into()),
+    ])
 }
 
-fn push_anomaly(out: &mut String, a: &AnomalyEvent) {
-    out.push_str("{\"flow\":");
-    json::push_str_literal(out, &a.flow);
-    out.push_str(",\"stage\":");
-    json::push_str_literal(out, &a.stage);
-    out.push_str(",\"kind\":");
-    json::push_str_literal(out, &a.kind);
-    let _ = write!(out, ",\"tile\":{},\"iteration\":{}", a.tile, a.iteration);
-    out.push_str(",\"value\":");
-    json::push_f64(out, a.value);
-    out.push('}');
+fn anomaly_json(a: &AnomalyEvent) -> Json {
+    Json::from_iter([
+        ("flow", Json::from(a.flow.as_str())),
+        ("stage", a.stage.as_str().into()),
+        ("kind", a.kind.as_str().into()),
+        ("tile", a.tile.into()),
+        ("iteration", a.iteration.into()),
+        ("value", a.value.into()),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::anomaly::observe_solve;
-    use crate::jsonv::Json;
     use ilt_telemetry as tele;
 
     #[test]
@@ -208,7 +172,7 @@ mod tests {
         assert_eq!(anomalies[0].tile, 7);
         assert_eq!(anomalies[0].stage, "stage 0");
 
-        let rendered = render_diagnostics_json(&diag, &anomalies);
+        let rendered = render_diagnostics_json(&diag, &anomalies).to_string();
         let v = Json::parse(&rendered).expect("diagnostics JSON must parse");
         let cells = v.get("convergence").and_then(Json::as_arr).unwrap();
         assert_eq!(cells.len(), 2);
@@ -239,7 +203,7 @@ mod tests {
             .iter()
             .any(|e| e.name == ilt_telemetry::names::DEGRADED));
 
-        let rendered = render_diagnostics_json(&diag, &[]);
+        let rendered = render_diagnostics_json(&diag, &[]).to_string();
         let v = Json::parse(&rendered).expect("diagnostics JSON must parse");
         assert_eq!(v.get("tiles_degraded").and_then(Json::as_f64), Some(1.0));
         let listed = v.get("degraded").and_then(Json::as_arr).unwrap();

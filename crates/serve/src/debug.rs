@@ -3,14 +3,14 @@
 //! Everything here reads *copies* — a flight-recorder snapshot, a job-list
 //! excerpt, cache counts — gathered by the route handler in one short
 //! registry lock, so rendering never holds a job-path lock. The functions
-//! take plain data and return JSON strings, which keeps them unit-testable
+//! take plain data and return JSON values, which keeps them unit-testable
 //! without a running server.
 
 use std::collections::BTreeMap;
 
+use ilt_json::Json;
 use ilt_store::{EntryView, StoreStats};
 use ilt_telemetry as tele;
-use ilt_telemetry::json::{push_f64, push_str_literal};
 
 /// One job's debug-view row (a cheap excerpt of the tracked record).
 #[derive(Debug, Clone)]
@@ -32,28 +32,23 @@ pub(crate) fn render_queue(
     capacity: usize,
     draining: bool,
     jobs: &[JobDebug],
-) -> String {
-    let mut out = String::from("{");
-    out.push_str(&format!(
-        "\"queue_depth\":{depth},\"queue_capacity\":{capacity},\"draining\":{draining},\"jobs\":["
-    ));
-    for (i, job) in jobs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"id\":\"{}\",\"trace\":{},\"status\":",
-            job.id, job.trace
-        ));
-        push_str_literal(&mut out, job.status);
-        out.push_str(",\"target\":");
-        push_str_literal(&mut out, &job.target);
-        out.push_str(",\"method\":");
-        push_str_literal(&mut out, job.method);
-        out.push_str(&format!(",\"age_ms\":{}}}", job.age_ms));
-    }
-    out.push_str("]}");
-    out
+) -> Json {
+    let jobs = jobs.iter().map(|job| {
+        Json::from_iter([
+            ("id", Json::from(job.id.to_string())),
+            ("trace", job.trace.into()),
+            ("status", job.status.into()),
+            ("target", job.target.as_str().into()),
+            ("method", job.method.into()),
+            ("age_ms", job.age_ms.into()),
+        ])
+    });
+    Json::from_iter([
+        ("queue_depth", Json::from(depth)),
+        ("queue_capacity", capacity.into()),
+        ("draining", draining.into()),
+        ("jobs", Json::Arr(jobs.collect())),
+    ])
 }
 
 /// `GET /debug/caches`: entry counts and estimated resident bytes of the
@@ -68,83 +63,75 @@ pub(crate) fn render_caches(
     mask_store: &StoreStats,
     counters: &BTreeMap<String, u64>,
     gauges: &BTreeMap<String, f64>,
-) -> String {
-    let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
-    let mut out = String::from("{");
-    out.push_str(&format!(
-        "\"litho_bank_cache\":{{\"entries\":{},\"estimated_bytes\":{},\"hits\":{},\"misses\":{}}}",
-        litho_banks,
-        litho_bank_bytes,
-        counter("litho.bank_cache.hit"),
-        counter("litho.bank_cache.miss")
-    ));
-    out.push_str(&format!(
-        ",\"fft_plan_cache\":{{\"entries\":{},\"estimated_bytes\":{},\"hits\":{},\"misses\":{}}}",
-        fft_plans,
-        fft_plan_bytes,
-        counter("fft.plan_cache.hit"),
-        counter("fft.plan_cache.miss")
-    ));
-    out.push_str(&format!(
-        ",\"mask_store\":{{\"entries\":{},\"bytes\":{},\"hits\":{},\"misses\":{},\
-         \"evictions\":{}}}",
-        mask_store.entries,
-        mask_store.bytes,
-        mask_store.hits,
-        mask_store.misses,
-        mask_store.evictions
-    ));
-    out.push_str(&format!(
-        ",\"session_cache\":{{\"entries\":{},\"hits\":{},\"misses\":{}}}",
-        gauges
-            .get("serve.session_cache.entries")
-            .copied()
-            .unwrap_or(0.0),
-        counter("serve.session_cache.hit"),
-        counter("serve.session_cache.miss")
-    ));
-    out.push('}');
-    out
+) -> Json {
+    let counter = |name: &str| Json::from(counters.get(name).copied().unwrap_or(0));
+    let cache = |entries: usize, bytes: u64, counter_stem: &str| {
+        Json::from_iter([
+            ("entries", Json::from(entries)),
+            ("estimated_bytes", bytes.into()),
+            ("hits", counter(&format!("{counter_stem}.hit"))),
+            ("misses", counter(&format!("{counter_stem}.miss"))),
+        ])
+    };
+    let mask_store = Json::from_iter([
+        ("entries", Json::from(mask_store.entries)),
+        ("bytes", mask_store.bytes.into()),
+        ("hits", mask_store.hits.into()),
+        ("misses", mask_store.misses.into()),
+        ("evictions", mask_store.evictions.into()),
+    ]);
+    let session_entries = gauges.get("serve.session_cache.entries").copied();
+    let session_cache = Json::from_iter([
+        ("entries", Json::from(session_entries.unwrap_or(0.0))),
+        ("hits", counter("serve.session_cache.hit")),
+        ("misses", counter("serve.session_cache.miss")),
+    ]);
+    Json::from_iter([
+        (
+            "litho_bank_cache",
+            cache(litho_banks, litho_bank_bytes, "litho.bank_cache"),
+        ),
+        (
+            "fft_plan_cache",
+            cache(fft_plans, fft_plan_bytes, "fft.plan_cache"),
+        ),
+        ("mask_store", mask_store),
+        ("session_cache", session_cache),
+    ])
 }
 
 /// `GET /debug/store`: the shared mask store's occupancy and hit/miss
 /// statistics plus its most recently touched entries (newest first).
 /// Digests and fingerprints render as fixed-width hex strings — they are
 /// opaque 64-bit hashes, not quantities.
-pub(crate) fn render_store(enabled: bool, stats: &StoreStats, entries: &[EntryView]) -> String {
-    let mut out = String::from("{");
-    out.push_str(&format!("\"enabled\":{enabled},\"stats\":{{"));
-    out.push_str(&format!(
-        "\"hits\":{},\"misses\":{},\"puts\":{},\"evictions\":{},\"spills\":{},\
-         \"disk_hits\":{},\"bytes\":{},\"entries\":{},\"hit_ratio\":",
-        stats.hits,
-        stats.misses,
-        stats.puts,
-        stats.evictions,
-        stats.spills,
-        stats.disk_hits,
-        stats.bytes,
-        stats.entries
-    ));
-    push_f64(&mut out, stats.hit_ratio());
-    out.push_str("},\"entries\":[");
-    for (i, entry) in entries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"digest\":\"{:016x}\",\"geometry\":\"{:016x}\",\"config\":\"{:016x}\",\
-             \"method\":",
-            entry.digest, entry.geometry, entry.config
-        ));
-        push_str_literal(&mut out, entry.method);
-        out.push_str(&format!(
-            ",\"bytes\":{},\"version\":{}}}",
-            entry.bytes, entry.version
-        ));
-    }
-    out.push_str("]}");
-    out
+pub(crate) fn render_store(enabled: bool, stats: &StoreStats, entries: &[EntryView]) -> Json {
+    let hex = |v: u64| Json::from(format!("{v:016x}"));
+    let stats = Json::from_iter([
+        ("hits", Json::from(stats.hits)),
+        ("misses", stats.misses.into()),
+        ("puts", stats.puts.into()),
+        ("evictions", stats.evictions.into()),
+        ("spills", stats.spills.into()),
+        ("disk_hits", stats.disk_hits.into()),
+        ("bytes", stats.bytes.into()),
+        ("entries", stats.entries.into()),
+        ("hit_ratio", stats.hit_ratio().into()),
+    ]);
+    let entries = entries.iter().map(|entry| {
+        Json::from_iter([
+            ("digest", hex(entry.digest)),
+            ("geometry", hex(entry.geometry)),
+            ("config", hex(entry.config)),
+            ("method", entry.method.into()),
+            ("bytes", entry.bytes.into()),
+            ("version", entry.version.into()),
+        ])
+    });
+    Json::from_iter([
+        ("enabled", Json::from(enabled)),
+        ("stats", stats),
+        ("entries", Json::Arr(entries.collect())),
+    ])
 }
 
 /// `GET /debug/jobs/{id}/trace`: the job's span forest as recorded by the
@@ -157,26 +144,19 @@ pub(crate) fn render_job_trace(
     trace: u64,
     status: &str,
     spans: &[tele::SpanEvent],
-) -> String {
-    let mut out = String::from("{");
-    out.push_str(&format!("\"id\":\"{id}\",\"trace\":{trace},\"status\":"));
-    push_str_literal(&mut out, status);
-    out.push_str(&format!(",\"span_count\":{}", spans.len()));
-    out.push_str(",\"counters\":{");
-    for (i, (name, v)) in tele::trace_counters(trace).iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_str_literal(&mut out, name);
-        out.push_str(&format!(":{v}"));
-    }
-    out.push('}');
-    out.push_str(",\"spans_dropped_total\":");
-    out.push_str(&tele::flight::spans_dropped().to_string());
-    out.push_str(",\"spans\":");
-    out.push_str(&tele::span_forest_json(spans));
-    out.push('}');
-    out
+) -> Json {
+    let counters = tele::trace_counters(trace)
+        .into_iter()
+        .map(|(name, v)| (name, Json::from(v)));
+    Json::from_iter([
+        ("id", Json::from(id.to_string())),
+        ("trace", trace.into()),
+        ("status", status.into()),
+        ("span_count", spans.len().into()),
+        ("counters", counters.collect()),
+        ("spans_dropped_total", tele::flight::spans_dropped().into()),
+        ("spans", tele::span_forest_json(spans)),
+    ])
 }
 
 /// Shared footer for `/metrics`: the flight recorder's drop counter as a
@@ -221,100 +201,80 @@ pub(crate) fn prof_prometheus() -> String {
 /// `GET /debug/profile`: the sampler's state plus the accumulated profile
 /// — collapsed-stack text (flamegraph-ready, embedded as one JSON string)
 /// and the top-N self-time leaves.
-pub(crate) fn render_profile() -> String {
+pub(crate) fn render_profile() -> Json {
     let (samples, ticks) = ilt_prof::cpu::sample_counts();
-    let mut out = String::from("{");
-    out.push_str(&format!(
-        "\"sampler_running\":{},\"sampler_hz\":{},\"samples\":{samples},\"ticks\":{ticks}",
-        ilt_prof::sampler_running(),
-        ilt_prof::sampler_hz()
-    ));
-    out.push_str(",\"top_self\":[");
-    for (i, (leaf, count)) in ilt_prof::cpu::top_self(10).iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"frame\":");
-        push_str_literal(&mut out, leaf);
-        out.push_str(&format!(",\"samples\":{count}}}"));
-    }
-    out.push_str("],\"samples_per_stage\":{");
-    for (i, (stage, count)) in ilt_prof::cpu::samples_per_stage().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_str_literal(&mut out, stage);
-        out.push_str(&format!(":{count}"));
-    }
-    out.push_str("},\"collapsed\":");
-    push_str_literal(&mut out, &ilt_prof::collapsed());
-    out.push('}');
-    out
+    let top_self = ilt_prof::cpu::top_self(10)
+        .into_iter()
+        .map(|(leaf, count)| {
+            Json::from_iter([("frame", Json::from(leaf)), ("samples", count.into())])
+        });
+    let per_stage = ilt_prof::cpu::samples_per_stage()
+        .into_iter()
+        .map(|(stage, count)| (stage, Json::from(count)));
+    Json::from_iter([
+        ("sampler_running", Json::from(ilt_prof::sampler_running())),
+        ("sampler_hz", ilt_prof::sampler_hz().into()),
+        ("samples", samples.into()),
+        ("ticks", ticks.into()),
+        ("top_self", Json::Arr(top_self.collect())),
+        ("samples_per_stage", per_stage.collect()),
+        ("collapsed", ilt_prof::collapsed().into()),
+    ])
 }
 
 /// `GET /debug/memory`: current/peak RSS, the tracking allocator's
 /// global and per-stage counters, and the heaviest-allocating traces
 /// (job ids are resolved by the route handler and passed in as
 /// `(trace, job_id)` pairs; unresolved traces render without a job).
-pub(crate) fn render_memory(trace_jobs: &[(u64, Option<u64>)]) -> String {
-    let mut out = String::from("{");
-    match ilt_prof::rss::read() {
-        Some(rss) => out.push_str(&format!(
-            "\"rss\":{{\"current_bytes\":{},\"peak_bytes\":{},\"window_peak_bytes\":{}}}",
-            rss.current_bytes,
-            rss.peak_bytes,
-            ilt_prof::rss::window_peak()
-        )),
-        None => out.push_str("\"rss\":null"),
-    }
+pub(crate) fn render_memory(trace_jobs: &[(u64, Option<u64>)]) -> Json {
+    let rss = ilt_prof::rss::read().map(|rss| {
+        Json::from_iter([
+            ("current_bytes", Json::from(rss.current_bytes)),
+            ("peak_bytes", rss.peak_bytes.into()),
+            ("window_peak_bytes", ilt_prof::rss::window_peak().into()),
+        ])
+    });
     let alloc = ilt_prof::alloc::stats();
-    out.push_str(&format!(
-        ",\"alloc\":{{\"enabled\":{},\"allocated_bytes\":{},\"allocation_calls\":{},\
-         \"freed_bytes\":{},\"free_calls\":{},\"live_bytes\":{},\"peak_live_bytes\":{}",
-        alloc.enabled,
-        alloc.allocated_bytes,
-        alloc.allocation_calls,
-        alloc.freed_bytes,
-        alloc.free_calls,
-        alloc.live_bytes,
-        alloc.peak_live_bytes
-    ));
-    out.push_str(",\"stages\":{");
-    for (i, stage) in alloc.stages.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_str_literal(&mut out, stage.stage.name());
-        out.push_str(&format!(
-            ":{{\"bytes\":{},\"calls\":{}}}",
-            stage.bytes, stage.calls
-        ));
-    }
-    out.push_str("}}");
-    out.push_str(",\"top_traces\":[");
-    for (i, (trace, job)) in trace_jobs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let (bytes, calls) = ilt_prof::alloc::trace_bytes(*trace);
-        out.push_str(&format!("{{\"trace\":{trace},\"job\":"));
-        match job {
-            Some(id) => out.push_str(&format!("\"{id}\"")),
-            None => out.push_str("null"),
-        }
-        out.push_str(&format!(",\"bytes\":{bytes},\"calls\":{calls}}}"));
-    }
-    out.push_str(&format!(
-        "],\"trace_attribution_dropped\":{}}}",
-        ilt_prof::alloc::trace_attribution_dropped()
-    ));
-    out
+    let stages = alloc.stages.iter().map(|stage| {
+        let usage = [
+            ("bytes", Json::from(stage.bytes)),
+            ("calls", stage.calls.into()),
+        ];
+        (stage.stage.name(), Json::from_iter(usage))
+    });
+    let alloc = Json::from_iter([
+        ("enabled", Json::from(alloc.enabled)),
+        ("allocated_bytes", alloc.allocated_bytes.into()),
+        ("allocation_calls", alloc.allocation_calls.into()),
+        ("freed_bytes", alloc.freed_bytes.into()),
+        ("free_calls", alloc.free_calls.into()),
+        ("live_bytes", alloc.live_bytes.into()),
+        ("peak_live_bytes", alloc.peak_live_bytes.into()),
+        ("stages", stages.collect()),
+    ]);
+    let top_traces = trace_jobs.iter().map(|&(trace, job)| {
+        let (bytes, calls) = ilt_prof::alloc::trace_bytes(trace);
+        Json::from_iter([
+            ("trace", Json::from(trace)),
+            ("job", job.map(|id| id.to_string()).into()),
+            ("bytes", bytes.into()),
+            ("calls", calls.into()),
+        ])
+    });
+    Json::from_iter([
+        ("rss", rss.into()),
+        ("alloc", alloc),
+        ("top_traces", Json::Arr(top_traces.collect())),
+        (
+            "trace_attribution_dropped",
+            ilt_prof::alloc::trace_attribution_dropped().into(),
+        ),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ilt_json::Json;
 
     #[test]
     fn queue_render_is_well_formed() {
@@ -326,7 +286,7 @@ mod tests {
             method: "ours",
             age_ms: 12,
         }];
-        let body = render_queue(1, 8, false, &jobs);
+        let body = render_queue(1, 8, false, &jobs).to_string();
         let parsed = Json::parse(&body).expect("valid JSON");
         assert_eq!(
             parsed.path(&["queue_depth"]).and_then(|v| v.as_u64()),
@@ -358,7 +318,7 @@ mod tests {
             bytes: 320000,
             entries: 9,
         };
-        let body = render_caches(1, 65536, 3, 4096, &store, &counters, &gauges);
+        let body = render_caches(1, 65536, 3, 4096, &store, &counters, &gauges).to_string();
         let parsed = Json::parse(&body).expect("valid JSON");
         assert_eq!(
             parsed
@@ -384,7 +344,12 @@ mod tests {
                 .and_then(|v| v.as_u64()),
             Some(4096)
         );
-        assert!(body.contains("\"session_cache\":{\"entries\":2"));
+        assert_eq!(
+            parsed
+                .path(&["session_cache", "entries"])
+                .and_then(|v| v.as_u64()),
+            Some(2)
+        );
         assert_eq!(
             parsed
                 .path(&["mask_store", "entries"])
@@ -419,7 +384,7 @@ mod tests {
             bytes: 512,
             version: 2,
         }];
-        let body = render_store(true, &stats, &entries);
+        let body = render_store(true, &stats, &entries).to_string();
         let parsed = Json::parse(&body).expect("valid JSON");
         assert_eq!(
             parsed.path(&["stats", "hits"]).and_then(|v| v.as_u64()),
@@ -443,7 +408,7 @@ mod tests {
 
     #[test]
     fn profile_render_is_well_formed() {
-        let body = render_profile();
+        let body = render_profile().to_string();
         let parsed = Json::parse(&body).expect("valid JSON");
         assert!(parsed.path(&["sampler_running"]).is_some());
         assert!(parsed.path(&["collapsed"]).is_some());
@@ -455,7 +420,7 @@ mod tests {
 
     #[test]
     fn memory_render_is_well_formed() {
-        let body = render_memory(&[(42, Some(7)), (99, None)]);
+        let body = render_memory(&[(42, Some(7)), (99, None)]).to_string();
         let parsed = Json::parse(&body).expect("valid JSON");
         // Linux always reads an RSS; elsewhere the field is null.
         assert!(body.contains("\"rss\":"));
@@ -471,7 +436,7 @@ mod tests {
 
     #[test]
     fn job_trace_render_is_well_formed_when_empty() {
-        let body = render_job_trace(9, 1234567, "queued", &[]);
+        let body = render_job_trace(9, 1234567, "queued", &[]).to_string();
         let parsed = Json::parse(&body).expect("valid JSON");
         assert_eq!(
             parsed.path(&["trace"]).and_then(|v| v.as_u64()),

@@ -14,6 +14,7 @@ use std::fmt;
 use std::io::{BufRead, Write};
 
 use ilt_fault::points;
+use ilt_json::Json;
 
 /// Longest accepted request line (method + path + version), in bytes.
 pub const MAX_REQUEST_LINE: usize = 8 * 1024;
@@ -352,12 +353,12 @@ pub struct Response {
 
 impl Response {
     /// A JSON response.
-    pub fn json(status: u16, body: String) -> Self {
+    pub fn json(status: u16, body: Json) -> Self {
         Response {
             status,
             content_type: "application/json",
             extra_headers: Vec::new(),
-            body,
+            body: body.to_string(),
         }
     }
 
@@ -373,10 +374,7 @@ impl Response {
 
     /// A JSON error response with the message in an `"error"` field.
     pub fn error(status: u16, message: &str) -> Self {
-        let mut body = String::from("{\"error\":");
-        ilt_telemetry::json::push_str_literal(&mut body, message);
-        body.push('}');
-        Response::json(status, body)
+        Response::json(status, Json::from_iter([("error", message.into())]))
     }
 
     /// Adds an extra header (e.g. `Retry-After`).
@@ -580,7 +578,7 @@ mod tests {
     #[test]
     fn response_serialises_with_extra_headers() {
         let mut out = Vec::new();
-        Response::json(429, "{\"error\":\"queue full\"}".into())
+        Response::error(429, "queue full")
             .with_header("Retry-After", "1".into())
             .write_to(&mut out)
             .unwrap();

@@ -8,11 +8,8 @@
 //! ([`ilt_json`]); results are rendered back to JSON for
 //! `GET /v1/jobs/{id}`.
 
-use std::fmt::Write as _;
-
 use ilt_core::experiment::Method;
 use ilt_json::Json;
-use ilt_telemetry::json::{push_f64, push_str_literal};
 
 /// Where the job's target layout comes from.
 #[derive(Debug, Clone, PartialEq)]
@@ -410,70 +407,57 @@ pub struct JobRecord {
 
 impl JobRecord {
     /// Renders the job as the response body of `GET /v1/jobs/{id}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"id\":\"{}\",\"trace\":{},\"status\":",
-            self.id, self.trace
-        );
-        push_str_literal(&mut out, self.status.name());
-        out.push_str(",\"target\":");
-        push_str_literal(&mut out, &self.spec.target_label());
-        out.push_str(",\"method\":");
-        push_str_literal(&mut out, method_name(self.spec.method));
-        out.push_str(",\"scale\":");
-        push_str_literal(&mut out, &self.spec.scale);
+    pub fn to_json(&self) -> Json {
+        let mut members = vec![
+            ("id", Json::from(self.id.to_string())),
+            ("trace", self.trace.into()),
+            ("status", self.status.name().into()),
+            ("target", self.spec.target_label().into()),
+            ("method", method_name(self.spec.method).into()),
+            ("scale", self.spec.scale.as_str().into()),
+        ];
         if let Some(s) = self.spec.s_max {
-            let _ = write!(out, ",\"s_max\":{s}");
+            members.push(("s_max", s.into()));
         }
         if let Some(stream) = self.spec.stream {
-            let _ = write!(out, ",\"stream\":{stream}");
+            members.push(("stream", stream.into()));
         }
         if let Some(ms) = self.spec.timeout_ms {
-            let _ = write!(out, ",\"timeout_ms\":{ms}");
+            members.push(("timeout_ms", ms.into()));
         }
         match &self.status {
             JobStatus::Queued | JobStatus::Running => {}
-            JobStatus::Failed(error) => {
-                out.push_str(",\"error\":");
-                push_str_literal(&mut out, error);
-            }
+            JobStatus::Failed(error) => members.push(("error", error.as_str().into())),
             JobStatus::Done(outcome) => {
                 let m = &outcome.metrics;
-                let _ = write!(
-                    out,
-                    ",\"metrics\":{{\"l2\":{},\"pvband\":{},\"stitch\":",
-                    m.l2, m.pvband
-                );
-                push_f64(&mut out, m.stitch);
-                out.push_str(",\"tat_seconds\":");
-                push_f64(&mut out, m.tat_seconds);
-                out.push_str("},\"mask\":{");
+                let metrics = Json::from_iter([
+                    ("l2", Json::from(m.l2)),
+                    ("pvband", m.pvband.into()),
+                    ("stitch", m.stitch.into()),
+                    ("tat_seconds", m.tat_seconds.into()),
+                ]);
                 let k = &outcome.mask;
-                let _ = write!(
-                    out,
-                    "\"width\":{},\"height\":{},\"on_pixels\":{},\"coverage\":",
-                    k.width, k.height, k.on_pixels
-                );
-                push_f64(&mut out, k.coverage);
-                let _ = write!(out, "}},\"tiles_degraded\":{}", outcome.tiles_degraded);
+                let mask = Json::from_iter([
+                    ("width", Json::from(k.width)),
+                    ("height", k.height.into()),
+                    ("on_pixels", k.on_pixels.into()),
+                    ("coverage", k.coverage.into()),
+                ]);
+                members.push(("metrics", metrics));
+                members.push(("mask", mask));
+                members.push(("tiles_degraded", outcome.tiles_degraded.into()));
                 if let Some(inc) = &outcome.incremental {
-                    let _ = write!(
-                        out,
-                        ",\"incremental\":{{\"tiles_reused\":{},\"tiles_resolved\":{},\
-                         \"hit_ratio\":",
-                        inc.tiles_reused, inc.tiles_resolved
-                    );
-                    push_f64(&mut out, inc.hit_ratio);
-                    out.push('}');
+                    let incremental = Json::from_iter([
+                        ("tiles_reused", Json::from(inc.tiles_reused)),
+                        ("tiles_resolved", inc.tiles_resolved.into()),
+                        ("hit_ratio", inc.hit_ratio.into()),
+                    ]);
+                    members.push(("incremental", incremental));
                 }
-                out.push_str(",\"queue_seconds\":");
-                push_f64(&mut out, outcome.queue_seconds);
+                members.push(("queue_seconds", outcome.queue_seconds.into()));
             }
         }
-        out.push('}');
-        out
+        Json::from_iter(members)
     }
 }
 
@@ -515,7 +499,7 @@ mod tests {
             spec,
             status: JobStatus::Queued,
         };
-        let body = record.to_json();
+        let body = record.to_json().to_string();
         assert!(body.contains("\"s_max\":2"));
         assert!(body.contains("\"stream\":false"));
     }
@@ -643,7 +627,7 @@ mod tests {
             spec,
             status: JobStatus::Queued,
         };
-        let queued = record.to_json();
+        let queued = record.to_json().to_string();
         assert!(queued.contains("\"status\":\"queued\""));
         assert!(queued.contains("\"trace\":41"));
         assert!(!queued.contains("metrics"));
@@ -664,7 +648,7 @@ mod tests {
             tiles_degraded: 2,
             queue_seconds: 0.1,
         });
-        let done = record.to_json();
+        let done = record.to_json().to_string();
         assert!(done.contains("\"status\":\"done\""));
         assert!(done.contains("\"l2\":100"));
         assert!(done.contains("\"coverage\":0.25"));
@@ -678,7 +662,7 @@ mod tests {
             Some(2)
         );
         record.status = JobStatus::Failed("deadline exceeded".into());
-        let failed = record.to_json();
+        let failed = record.to_json().to_string();
         assert!(failed.contains("\"error\":\"deadline exceeded\""));
     }
 
@@ -712,7 +696,7 @@ mod tests {
             spec: spec.clone(),
             status: JobStatus::Done(outcome.clone()),
         };
-        let body = record(&outcome).to_json();
+        let body = record(&outcome).to_json().to_string();
         let parsed = Json::parse(&body).expect("well-formed eco job JSON");
         assert_eq!(
             parsed
@@ -728,6 +712,9 @@ mod tests {
         );
         assert!(body.contains("\"target\":\"eco:base=1\""));
         outcome.incremental = None;
-        assert!(!record(&outcome).to_json().contains("incremental"));
+        assert!(!record(&outcome)
+            .to_json()
+            .to_string()
+            .contains("incremental"));
     }
 }

@@ -25,6 +25,7 @@ use std::time::{Duration, Instant};
 
 use ilt_fault::points;
 use ilt_grid::BitGrid;
+use ilt_json::Json;
 use ilt_layout::generate_clip;
 use ilt_telemetry as tele;
 use ilt_telemetry::slo::{SloConfig, SloEngine};
@@ -386,7 +387,7 @@ fn route(shared: &Shared, request: &Request) -> Response {
         ("POST", "/v1/jobs") => submit(shared, &request.body),
         ("POST", "/admin/shutdown") => {
             initiate_drain(shared);
-            Response::json(200, "{\"status\":\"draining\"}".to_string())
+            Response::json(200, Json::from_iter([("status", "draining".into())]))
         }
         ("GET", path) if path.starts_with("/v1/jobs/") => job_status(shared, path),
         ("GET", "/debug/queue") => debug_queue(shared),
@@ -527,12 +528,12 @@ fn health(shared: &Shared) -> Response {
     };
     Response::json(
         200,
-        format!(
-            "{{\"status\":\"{status}\",\"queue_depth\":{},\"queue_capacity\":{},\"workers\":{}}}",
-            shared.queue.len(),
-            shared.queue.depth(),
-            shared.config.workers
-        ),
+        Json::from_iter([
+            ("status", Json::from(status)),
+            ("queue_depth", shared.queue.len().into()),
+            ("queue_capacity", shared.queue.depth().into()),
+            ("workers", shared.config.workers.into()),
+        ]),
     )
 }
 
@@ -581,10 +582,12 @@ fn submit(shared: &Shared, body: &[u8]) -> Response {
         Ok(position) => {
             tele::counter_add("serve.jobs.accepted", 1);
             tele::gauge_set("serve.queue.depth", shared.queue.len() as f64);
-            Response::json(
-                202,
-                format!("{{\"id\":\"{id}\",\"status\":\"queued\",\"position\":{position}}}"),
-            )
+            let accepted = Json::from_iter([
+                ("id", Json::from(id.to_string())),
+                ("status", "queued".into()),
+                ("position", position.into()),
+            ]);
+            Response::json(202, accepted)
         }
         Err(reason) => {
             shared.lock_jobs().retain(|t| t.record.id != id);

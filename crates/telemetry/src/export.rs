@@ -5,10 +5,12 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
+use ilt_json::Json;
+
 use crate::collect::{SpanEvent, Telemetry};
-use crate::json;
 use crate::metrics::Histogram;
 use crate::names;
+use crate::span::FieldValue;
 
 /// Summary of one stage span, with tile/assembly attribution derived from
 /// its descendant spans.
@@ -102,29 +104,49 @@ fn display_label(e: &SpanEvent) -> String {
     }
 }
 
-fn push_event_json(out: &mut String, e: &SpanEvent) {
-    out.push_str("{\"type\":\"span\",\"id\":");
-    let _ = write!(out, "{}", e.id);
-    out.push_str(",\"parent\":");
-    match e.parent {
-        Some(p) => {
-            let _ = write!(out, "{p}");
+impl From<&FieldValue> for Json {
+    fn from(v: &FieldValue) -> Json {
+        match v {
+            FieldValue::U64(x) => Json::from(*x),
+            FieldValue::I64(x) => Json::from(*x),
+            FieldValue::F64(x) => Json::from(*x),
+            FieldValue::Str(s) => Json::from(s.as_str()),
         }
-        None => out.push_str("null"),
     }
-    out.push_str(",\"trace\":");
-    let _ = write!(out, "{}", e.trace);
-    out.push_str(",\"name\":");
-    json::push_str_literal(out, e.name);
-    out.push_str(",\"thread\":");
-    let _ = write!(out, "{}", e.thread);
-    out.push_str(",\"start_us\":");
-    let _ = write!(out, "{}", e.start_ns / 1_000);
-    out.push_str(",\"dur_us\":");
-    let _ = write!(out, "{}", e.dur_ns / 1_000);
-    out.push_str(",\"fields\":");
-    json::push_fields_object(out, &e.fields);
-    out.push('}');
+}
+
+fn fields_json(fields: &[(&'static str, FieldValue)]) -> Json {
+    fields.iter().map(|(k, v)| (*k, Json::from(v))).collect()
+}
+
+fn event_json(e: &SpanEvent) -> Json {
+    Json::from_iter([
+        ("type", Json::from("span")),
+        ("id", e.id.into()),
+        ("parent", e.parent.into()),
+        ("trace", e.trace.into()),
+        ("name", e.name.into()),
+        ("thread", e.thread.into()),
+        ("start_us", (e.start_ns / 1_000).into()),
+        ("dur_us", (e.dur_ns / 1_000).into()),
+        ("fields", fields_json(&e.fields)),
+    ])
+}
+
+impl Histogram {
+    /// The `count`/`sum`/`min`/`max`/`p50`/`p95`/`p99` members shared by
+    /// JSONL `histogram` records and the `histograms` report section.
+    pub fn summary_members(&self) -> [(&'static str, Json); 7] {
+        [
+            ("count", self.count().into()),
+            ("sum", self.sum().into()),
+            ("min", self.min().into()),
+            ("max", self.max().into()),
+            ("p50", self.quantile(0.5).into()),
+            ("p95", self.quantile(0.95).into()),
+            ("p99", self.quantile(0.99).into()),
+        ]
+    }
 }
 
 impl Telemetry {
@@ -171,40 +193,32 @@ impl Telemetry {
     /// (start order), then one `counter` record per counter and one
     /// `histogram` record per histogram.
     pub fn to_jsonl(&self) -> String {
+        let scalar = |kind: &str, name: &str, value: Json| {
+            Json::from_iter([
+                ("type", Json::from(kind)),
+                ("name", name.into()),
+                ("value", value),
+            ])
+        };
+        let spans = self.events.iter().map(event_json);
+        let counters = self
+            .counters
+            .iter()
+            .map(|(name, v)| scalar("counter", name, (*v).into()));
+        let gauges = self
+            .gauges
+            .iter()
+            .map(|(name, v)| scalar("gauge", name, (*v).into()));
+        let histograms = self.histograms.iter().map(|(name, h)| {
+            let head = [
+                ("type", Json::from("histogram")),
+                ("name", name.as_str().into()),
+            ];
+            Json::from_iter(head.into_iter().chain(h.summary_members()))
+        });
         let mut out = String::new();
-        for e in &self.events {
-            push_event_json(&mut out, e);
-            out.push('\n');
-        }
-        for (name, v) in &self.counters {
-            out.push_str("{\"type\":\"counter\",\"name\":");
-            json::push_str_literal(&mut out, name);
-            let _ = write!(out, ",\"value\":{v}}}");
-            out.push('\n');
-        }
-        for (name, v) in &self.gauges {
-            out.push_str("{\"type\":\"gauge\",\"name\":");
-            json::push_str_literal(&mut out, name);
-            out.push_str(",\"value\":");
-            json::push_f64(&mut out, *v);
-            out.push('}');
-            out.push('\n');
-        }
-        for (name, h) in &self.histograms {
-            out.push_str("{\"type\":\"histogram\",\"name\":");
-            json::push_str_literal(&mut out, name);
-            let _ = write!(
-                out,
-                ",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                h.count(),
-                h.sum(),
-                h.min(),
-                h.max(),
-                h.quantile(0.5),
-                h.quantile(0.95),
-                h.quantile(0.99)
-            );
-            out.push('\n');
+        for record in spans.chain(counters).chain(gauges).chain(histograms) {
+            let _ = writeln!(out, "{record}");
         }
         out
     }
@@ -257,31 +271,23 @@ impl Telemetry {
     /// Serialises the spans in the Chrome `trace_event` JSON format
     /// (load the file in `chrome://tracing` or Perfetto).
     pub fn to_chrome_trace(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            json::push_str_literal(&mut out, &display_label(e));
-            out.push_str(",\"cat\":");
-            json::push_str_literal(&mut out, e.name);
-            let _ = write!(
-                out,
-                ",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"args\":",
-                e.thread,
-                e.start_ns / 1_000,
-                e.dur_ns / 1_000
-            );
-            json::push_fields_object(&mut out, &e.fields);
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        let events = self.events.iter().map(|e| {
+            Json::from_iter([
+                ("name", display_label(e).into()),
+                ("cat", e.name.into()),
+                ("ph", "X".into()),
+                ("pid", 1u64.into()),
+                ("tid", e.thread.into()),
+                ("ts", (e.start_ns / 1_000).into()),
+                ("dur", (e.dur_ns / 1_000).into()),
+                ("args", fields_json(&e.fields)),
+            ])
+        });
+        Json::from_iter([("traceEvents", Json::Arr(events.collect()))]).to_string()
     }
 
-    /// Serialises the span tree as nested JSON (used inside `report.json`).
-    pub fn span_tree_json(&self) -> String {
+    /// The span tree as nested JSON (used inside `report.json`).
+    pub fn span_tree_json(&self) -> Json {
         span_forest_json(&self.events)
     }
 
@@ -353,40 +359,31 @@ fn render_node(out: &mut String, events: &[SpanEvent], tree: &TreeIndex, i: usiz
     }
 }
 
-/// Serialises any span slice as a nested JSON forest — the same shape as
+/// Any span slice as a nested JSON forest — the same shape as
 /// [`Telemetry::span_tree_json`], usable over flight-recorder snapshots
 /// (the `/debug/jobs/{id}/trace` endpoint) without building a
 /// [`Telemetry`]. Events whose parent is absent from `events` become
 /// roots; events should be sorted by `(start_ns, id)` for stable order.
-pub fn span_forest_json(events: &[SpanEvent]) -> String {
+pub fn span_forest_json(events: &[SpanEvent]) -> Json {
     let tree = index_tree(events);
-    let mut out = String::new();
-    push_subtree_json(&mut out, events, &tree, &tree.roots);
-    out
+    subtree_json(events, &tree, &tree.roots)
 }
 
-fn push_subtree_json(out: &mut String, events: &[SpanEvent], tree: &TreeIndex, nodes: &[usize]) {
-    out.push('[');
-    for (n, &i) in nodes.iter().enumerate() {
-        if n > 0 {
-            out.push(',');
-        }
+fn subtree_json(events: &[SpanEvent], tree: &TreeIndex, nodes: &[usize]) -> Json {
+    let node = |i: usize| {
         let e = &events[i];
-        out.push_str("{\"name\":");
-        json::push_str_literal(out, e.name);
-        let _ = write!(out, ",\"id\":{},\"trace\":{}", e.id, e.trace);
-        let _ = write!(out, ",\"thread\":{},\"seconds\":", e.thread);
-        json::push_f64(out, e.seconds());
-        out.push_str(",\"fields\":");
-        json::push_fields_object(out, &e.fields);
-        out.push_str(",\"children\":");
-        match tree.children.get(&e.id) {
-            Some(kids) => push_subtree_json(out, events, tree, kids),
-            None => out.push_str("[]"),
-        }
-        out.push('}');
-    }
-    out.push(']');
+        let children = tree.children.get(&e.id).map_or(&[][..], |kids| &kids[..]);
+        Json::from_iter([
+            ("name", Json::from(e.name)),
+            ("id", e.id.into()),
+            ("trace", e.trace.into()),
+            ("thread", e.thread.into()),
+            ("seconds", e.seconds().into()),
+            ("fields", fields_json(&e.fields)),
+            ("children", subtree_json(events, tree, children)),
+        ])
+    };
+    Json::Arr(nodes.iter().map(|&i| node(i)).collect())
 }
 
 /// Tile/assembly attribution accumulated over a stage's descendants.
@@ -438,30 +435,18 @@ impl LatencyBudget {
 
     /// JSON object rendering (the `latency_budget` section of
     /// `ilt-report/v2`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (key, v)) in [
-            ("queue_wait_s", self.queue_wait_s),
-            ("kernel_build_s", self.kernel_build_s),
-            ("coarse_tiles_s", self.coarse_tiles_s),
-            ("fine_tiles_s", self.fine_tiles_s),
-            ("refine_tiles_s", self.refine_tiles_s),
-            ("other_tiles_s", self.other_tiles_s),
-            ("assembly_s", self.assembly_s),
-            ("unattributed_s", self.unattributed_s()),
-            ("flow_total_s", self.flow_total_s),
-        ]
-        .iter()
-        .enumerate()
-        {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{key}\":");
-            json::push_f64(&mut out, *v);
-        }
-        out.push('}');
-        out
+    pub fn to_json(&self) -> Json {
+        Json::from_iter([
+            ("queue_wait_s", self.queue_wait_s.into()),
+            ("kernel_build_s", self.kernel_build_s.into()),
+            ("coarse_tiles_s", self.coarse_tiles_s.into()),
+            ("fine_tiles_s", self.fine_tiles_s.into()),
+            ("refine_tiles_s", self.refine_tiles_s.into()),
+            ("other_tiles_s", self.other_tiles_s.into()),
+            ("assembly_s", self.assembly_s.into()),
+            ("unattributed_s", self.unattributed_s().into()),
+            ("flow_total_s", self.flow_total_s.into()),
+        ])
     }
 }
 

@@ -1,8 +1,9 @@
 //! # ilt-telemetry
 //!
-//! Zero-dependency observability for the multigrid-Schwarz ILT workspace:
-//! hierarchical RAII spans, counters, and log-bucketed histograms, with
-//! human-readable, JSONL, and Chrome `trace_event` exporters.
+//! Observability for the multigrid-Schwarz ILT workspace: hierarchical
+//! RAII spans, counters, and log-bucketed histograms, with human-readable,
+//! JSONL, and Chrome `trace_event` exporters (JSON built as `ilt_json`
+//! values, the workspace's only dependency here).
 //!
 //! ## Model
 //!
@@ -66,7 +67,6 @@ pub mod ambient;
 mod collect;
 mod export;
 pub mod flight;
-pub mod json;
 pub mod live;
 mod metrics;
 pub mod slo;

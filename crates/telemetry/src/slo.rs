@@ -21,6 +21,8 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
+use ilt_json::Json;
+
 /// What an objective measures about each job.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SloKind {
@@ -337,46 +339,36 @@ impl SloEngine {
     }
 
     /// JSON rendering for `/debug/slo`.
-    pub fn to_json(&self) -> String {
-        let reports = self.burn_rates();
-        let mut out = String::from("{\"objectives\":[");
-        for (i, report) in reports.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            out.push_str("\"name\":");
-            crate::json::push_str_literal(&mut out, &report.objective.name);
-            let (kind, threshold_us) = match report.objective.kind {
-                SloKind::JobLatency { threshold_us } => ("latency", Some(threshold_us)),
-                SloKind::JobErrors => ("errors", None),
-                SloKind::JobDegraded => ("degraded", None),
+    pub fn to_json(&self) -> Json {
+        let objective = |report: &ObjectiveBurn| {
+            let kind = match report.objective.kind {
+                SloKind::JobLatency { .. } => "latency",
+                SloKind::JobErrors => "errors",
+                SloKind::JobDegraded => "degraded",
             };
-            out.push_str(&format!(",\"kind\":\"{kind}\""));
-            if let Some(threshold_us) = threshold_us {
-                out.push_str(&format!(",\"threshold_us\":{threshold_us}"));
+            let windows = report.windows.iter().map(|window| {
+                Json::from_iter([
+                    ("seconds", Json::from(window.window_s)),
+                    ("good", window.good.into()),
+                    ("bad", window.bad.into()),
+                    ("burn_rate", window.burn_rate.into()),
+                ])
+            });
+            let mut members = vec![
+                ("name", Json::from(report.objective.name.as_str())),
+                ("kind", kind.into()),
+                ("target", report.objective.target.into()),
+                ("total_good", report.total_good.into()),
+                ("total_bad", report.total_bad.into()),
+                ("windows", Json::Arr(windows.collect())),
+            ];
+            if let SloKind::JobLatency { threshold_us } = report.objective.kind {
+                members.push(("threshold_us", threshold_us.into()));
             }
-            out.push_str(",\"target\":");
-            crate::json::push_f64(&mut out, report.objective.target);
-            out.push_str(&format!(
-                ",\"total_good\":{},\"total_bad\":{},\"windows\":[",
-                report.total_good, report.total_bad
-            ));
-            for (j, window) in report.windows.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"seconds\":{},\"good\":{},\"bad\":{},\"burn_rate\":",
-                    window.window_s, window.good, window.bad
-                ));
-                crate::json::push_f64(&mut out, window.burn_rate);
-                out.push('}');
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
+            Json::from_iter(members)
+        };
+        let objectives = self.burn_rates().iter().map(objective).collect();
+        Json::from_iter([("objectives", Json::Arr(objectives))])
     }
 }
 
@@ -494,7 +486,14 @@ mod tests {
         assert!(prom.contains("ilt_slo_burn_rate{objective=\"job_latency\",window=\"60s\"}"));
         assert!(prom.contains("ilt_slo_events_total{objective=\"job_latency\",outcome=\"bad\"} 1"));
         let json = engine.to_json();
-        assert!(json.starts_with("{\"objectives\":["));
-        assert!(json.contains("\"threshold_us\":1000"));
+        let Json::Obj(members) = &json else {
+            panic!("{json}");
+        };
+        assert_eq!(members.keys().collect::<Vec<_>>(), ["objectives"]);
+        let objectives = json.get("objectives").and_then(Json::as_arr).unwrap();
+        assert_eq!(
+            objectives[0].get("threshold_us").and_then(Json::as_f64),
+            Some(1000.0)
+        );
     }
 }

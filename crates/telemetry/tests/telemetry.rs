@@ -5,6 +5,7 @@
 
 use std::sync::Mutex;
 
+use ilt_json::Json;
 use ilt_telemetry as tele;
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -160,11 +161,20 @@ fn exporters_cover_all_spans_and_parse_as_json_shapes() {
     assert!(jsonl.contains("\\\"flow\\\"")); // quotes escaped
     assert!(jsonl.contains("\"type\":\"counter\""));
     assert!(jsonl.contains("\"type\":\"histogram\""));
+    for line in jsonl.lines() {
+        Json::parse(line).expect("every JSONL record parses");
+    }
 
-    let chrome = t.to_chrome_trace();
-    assert!(chrome.starts_with("{\"traceEvents\":["));
-    assert!(chrome.ends_with("]}"));
-    assert_eq!(chrome.matches("\"ph\":\"X\"").count(), t.events.len());
+    let chrome = Json::parse(&t.to_chrome_trace()).expect("chrome trace parses");
+    let Json::Obj(members) = &chrome else {
+        panic!("chrome trace is an object");
+    };
+    assert_eq!(members.keys().collect::<Vec<_>>(), ["traceEvents"]);
+    let events = chrome.get("traceEvents").and_then(Json::as_arr).unwrap();
+    assert_eq!(events.len(), t.events.len());
+    assert!(events
+        .iter()
+        .all(|e| e.get("ph").and_then(Json::as_str) == Some("X")));
 
     let tree = t.render_tree();
     assert!(tree.contains("stage(stage 1)"));
@@ -172,8 +182,8 @@ fn exporters_cover_all_spans_and_parse_as_json_shapes() {
     assert!(tree.contains("unit.export_counter = 1"));
 
     let tree_json = t.span_tree_json();
-    assert!(tree_json.starts_with('['));
-    assert!(tree_json.contains("\"children\":["));
+    let roots = tree_json.as_arr().expect("the span tree is an array");
+    assert!(roots[0].get("children").and_then(Json::as_arr).is_some());
 
     let flows = t.flow_summaries();
     assert_eq!(flows.len(), 1);
@@ -424,7 +434,13 @@ fn gauges_snapshot_export_and_drain() {
         assert!(prom.contains("# TYPE ilt_unit_gauge_depth gauge"), "{prom}");
         assert!(prom.contains("ilt_unit_gauge_depth 3"), "{prom}");
         let jsonl = snap.to_jsonl();
-        assert!(jsonl.contains("{\"type\":\"gauge\",\"name\":\"unit.gauge_depth\",\"value\":3"));
+        let gauge = jsonl
+            .lines()
+            .map(|l| Json::parse(l).expect("every JSONL record parses"))
+            .find(|r| r.get("name").and_then(Json::as_str) == Some("unit.gauge_depth"))
+            .expect("a gauge record");
+        assert_eq!(gauge.get("type").and_then(Json::as_str), Some("gauge"));
+        assert_eq!(gauge.get("value").and_then(Json::as_f64), Some(3.0));
     });
     assert_eq!(t.gauges["unit.gauge_depth"], 3.0);
     // drain() took the registry with it.
@@ -478,6 +494,13 @@ fn latency_budget_attributes_stage_classes() {
     assert!((budget.queue_wait_s - 2.0).abs() < 1e-9);
     assert!(budget.unattributed_s() >= 0.0);
     let json = budget.to_json();
-    assert!(json.starts_with("{\"queue_wait_s\":"), "{json}");
-    assert!(json.contains("\"flow_total_s\":"), "{json}");
+    assert_eq!(
+        json.get("queue_wait_s").and_then(Json::as_f64),
+        Some(budget.queue_wait_s),
+        "{json}"
+    );
+    assert!(
+        json.get("flow_total_s").and_then(Json::as_f64).is_some(),
+        "{json}"
+    );
 }
